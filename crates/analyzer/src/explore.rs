@@ -29,8 +29,9 @@
 //!   budget, for wide shallow coverage in time-boxed CI runs.
 //!
 //! Every explored execution is vetted by the invariant suite: survivor
-//! view agreement, stable-delivery monotonicity and gaplessness (§4.6),
-//! zero RNR arms (§4.2), trace-oracle validity (which subsumes
+//! view agreement, atomic delivery-log agreement (gapless, monotone,
+//! identical at every member; §4.6 with one sender), zero RNR arms
+//! (§4.2), trace-oracle validity (which subsumes
 //! delivery-before-receipt), terminal quiescence, and — the determinism
 //! audit — [`SimCluster::state_digest`] equality across replays of one
 //! choice sequence and across all crash-free interleavings. The audit is
@@ -123,8 +124,8 @@ impl Scheduler for LoggingScheduler {
 }
 
 /// The workload one exploration drives: a single group, `messages`
-/// multicasts from the root, with optional atomic delivery, recovery,
-/// crash-injection sites, and seeded mutations.
+/// multicasts, with optional atomic delivery, recovery, crash-injection
+/// sites, and seeded mutations.
 #[derive(Clone, Debug)]
 pub struct ExploreScenario {
     /// Block-dissemination algorithm.
@@ -141,17 +142,14 @@ pub struct ExploreScenario {
     pub ready_window: u32,
     /// Block sends a member may have posted at once.
     pub max_outstanding_sends: u32,
-    /// Derecho-style §4.6 atomic delivery (stable-frontier invariants
-    /// apply). Mutually exclusive with `fault_sites` (atomic groups do
-    /// not reconfigure).
-    pub atomic: bool,
-    /// Multi-sender atomic multicast (the Derecho overlay): every
-    /// member is a sender, `messages` submissions rotate round-robin
-    /// through one RDMC subgroup per sender, and every execution is
-    /// checked for cross-rank delivery-log agreement. Built via
-    /// [`ExploreScenario::atomic`]; mutually exclusive with `atomic`
-    /// and `reliability`.
-    pub multi_sender: bool,
+    /// Senders of a Derecho-style atomic multicast group (the first
+    /// `atomic_senders` members; `messages` submissions rotate
+    /// round-robin through one RDMC subgroup per sender), with every
+    /// execution checked for cross-rank delivery-log agreement. `0` is
+    /// a plain RDMC group, `1` the paper's §4.6 single-sender atomic
+    /// delivery, `n` the fully rotated group of
+    /// [`ExploreScenario::atomic`]. Atomic groups ignore `reliability`.
+    pub atomic_senders: u32,
     /// Crash-injection sites `(protocol step, victim node)`. When
     /// non-empty, the execution's *first* choice point picks one site —
     /// or none — and recovery is enabled so the run can finish.
@@ -171,8 +169,8 @@ pub struct ExploreScenario {
 
 impl ExploreScenario {
     /// The CI-tier default: a small group moving a few blocks with
-    /// atomic delivery on, sized so exhaustive enumeration stays
-    /// tractable.
+    /// §4.6 single-sender atomic delivery on, sized so exhaustive
+    /// enumeration stays tractable.
     pub fn small(algorithm: Algorithm, n: u32, k: u32) -> Self {
         ExploreScenario {
             algorithm,
@@ -182,8 +180,7 @@ impl ExploreScenario {
             messages: 1,
             ready_window: 1,
             max_outstanding_sends: 1,
-            atomic: true,
-            multi_sender: false,
+            atomic_senders: 1,
             fault_sites: Vec::new(),
             loss_choices: 0,
             reliability: None,
@@ -200,8 +197,7 @@ impl ExploreScenario {
     /// identical `(slot, sender, seq, size)` sequence.
     pub fn atomic(algorithm: Algorithm, n: u32, k: u32) -> Self {
         ExploreScenario {
-            atomic: false,
-            multi_sender: true,
+            atomic_senders: n,
             messages: n,
             ..Self::small(algorithm, n, k)
         }
@@ -211,7 +207,7 @@ impl ExploreScenario {
     /// given `(protocol step, victim node)` sites offered to the
     /// explorer as alternative first choices.
     pub fn with_faults(mut self, sites: Vec<(u64, usize)>) -> Self {
-        self.atomic = false;
+        self.atomic_senders = 0;
         self.fault_sites = sites;
         self
     }
@@ -221,7 +217,7 @@ impl ExploreScenario {
     /// `policy`, and recovery is on (atomic delivery off) so drop
     /// branches that escalate can still converge.
     pub fn with_loss(mut self, budget: u64, policy: ReliabilityPolicy) -> Self {
-        self.atomic = false;
+        self.atomic_senders = 0;
         self.loss_choices = budget;
         self.reliability = Some(policy);
         self
@@ -436,16 +432,14 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
             ready_window: scenario.ready_window,
             max_outstanding_sends: scenario.max_outstanding_sends,
         };
-        let group = if scenario.multi_sender {
-            let ag = cluster.create_atomic_group(spec);
+        let group = if scenario.atomic_senders > 0 {
+            let ag =
+                cluster.create_atomic_group_with_senders(spec, scenario.atomic_senders as usize);
             // The anchor subgroup's id names the overlay group for the
             // epoch-agreement check below.
             cluster.atomic_subgroups(ag)[0]
         } else {
             let group = cluster.create_group(spec);
-            if scenario.atomic {
-                cluster.enable_atomic_delivery(group);
-            }
             if let Some(policy) = scenario.reliability {
                 cluster.set_reliability(group, policy);
             }
@@ -454,7 +448,7 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
         let injected = offer_fault_choice(scenario, &shared, &mut cluster);
         for _ in 0..scenario.messages {
             let size = scenario.block_size * u64::from(scenario.k);
-            if scenario.multi_sender {
+            if scenario.atomic_senders > 0 {
                 let _ = cluster.submit_atomic(0, size);
             } else {
                 let _ = cluster.submit_send(group, size);
@@ -594,29 +588,13 @@ fn check_invariants(
             }
         }
     }
-    // §4.6 stable frontier: per member, stable deliveries are gapless
-    // (the delivered prefix — all of it at quiescence) and their times
-    // are monotone.
-    if scenario.atomic {
-        for rank in 0..scenario.n {
-            let stable = cluster.stable_deliveries(group, rank);
-            if stable.len() != scenario.messages as usize {
-                violations.push(format!(
-                    "rank {rank}: {} of {} messages stably delivered",
-                    stable.len(),
-                    scenario.messages
-                ));
-            }
-            if stable.windows(2).any(|w| w[1] < w[0]) {
-                violations.push(format!("rank {rank}: stable-delivery times regressed"));
-            }
-        }
-    }
-    // The multi-sender total order: every live member's delivery log
-    // must be the identical `(slot, sender, seq, size)` sequence in
-    // strictly increasing slot order — the atomic multicast's defining
-    // guarantee, checked across every explored interleaving.
-    if scenario.multi_sender {
+    // The atomic total order: every live member's delivery log must be
+    // the identical `(slot, sender, seq, size)` sequence in strictly
+    // increasing slot order with monotone upcall times, complete in a
+    // crash-free run — the atomic multicast's defining guarantee (and,
+    // with one sender, §4.6's gapless stable delivery), checked across
+    // every explored interleaving.
+    if scenario.atomic_senders > 0 {
         let live = cluster.atomic_live_members(0);
         if let Some((&first, rest)) = live.split_first() {
             let reference = cluster.atomic_log(0, first);
@@ -627,8 +605,13 @@ fn check_invariants(
                     scenario.messages
                 ));
             }
-            if reference.windows(2).any(|w| w[0].slot >= w[1].slot) {
-                violations.push(format!("member {first}: delivery slots not increasing"));
+            if reference
+                .windows(2)
+                .any(|w| w[0].slot >= w[1].slot || w[0].at > w[1].at)
+            {
+                violations.push(format!(
+                    "member {first}: delivery slots or times not increasing"
+                ));
             }
             for &m in rest {
                 let log = cluster.atomic_log(0, m);

@@ -30,8 +30,8 @@
 //!   controlled scheduler (same-instant delivery races, pacer admission
 //!   ties, crash-injection sites), exhaustively, with dynamic
 //!   partial-order reduction, or as a seeded random walk. Every explored
-//!   execution is vetted for survivor view agreement, §4.6
-//!   stable-delivery gaplessness and monotonicity, zero RNR arms, trace
+//!   execution is vetted for survivor view agreement, atomic
+//!   delivery-log agreement (§4.6 with one sender), zero RNR arms, trace
 //!   validity, and replay determinism (bit-for-bit digest equality —
 //!   the audit that mechanically catches unordered-map iteration).
 //!   Violations come back as minimal replayable counterexamples.

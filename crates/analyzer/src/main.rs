@@ -66,9 +66,9 @@ fn scenario_for(args: &ExploreArgs) -> ExploreScenario {
         let sites = (1..args.n as usize).map(|v| (10, v)).collect();
         scenario = scenario.with_faults(sites);
     } else if args.n > 3 {
-        // Atomic-delivery status traffic makes exhaustive enumeration
+        // Atomic-delivery frontier traffic makes exhaustive enumeration
         // intractable beyond n=3; larger groups explore non-atomic.
-        scenario.atomic = false;
+        scenario.atomic_senders = 0;
     }
     scenario
 }

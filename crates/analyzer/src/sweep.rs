@@ -266,15 +266,15 @@ pub fn sweep(config: &SweepConfig) -> SweepReport {
 
 /// The execution-exploration tier: exhaustive interleaving enumeration
 /// of the simulator on the small corner — atomic delivery at `n = 3`,
-/// non-atomic at `n = 4` (status-write traffic makes atomic `n = 4`
+/// non-atomic at `n = 4` (frontier-write traffic makes atomic `n = 4`
 /// enumeration intractable; randomized CI walks cover it instead).
 fn sweep_explore(report: &mut SweepReport, max_n: u32) {
-    for (n, k, atomic) in [(3, 1, true), (3, 2, true), (4, 1, false), (4, 2, false)] {
+    for (n, k, senders) in [(3, 1, 1), (3, 2, 1), (4, 1, 0), (4, 2, 0)] {
         if n > max_n {
             continue;
         }
         let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, n, k);
-        scenario.atomic = atomic;
+        scenario.atomic_senders = senders;
         let r = explore_executions(&ExploreConfig::exhaustive(scenario));
         report.explore_runs += 1;
         report.explore_executions += r.executions;

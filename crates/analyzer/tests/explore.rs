@@ -9,13 +9,13 @@ use rdmc_sim::{Mutation, ReliabilityPolicy};
 
 #[test]
 fn exhaustive_small_binomial_is_clean() {
-    // Atomic delivery multiplies same-instant status-write bursts, so
-    // the atomic tier runs at n=3 and the n=4 tier runs non-atomic
-    // (the §4.6 frontier invariants still get exhaustive coverage via
-    // the n=3 runs and randomized n=4 coverage below).
-    for (n, k, atomic) in [(3, 1, true), (3, 2, true), (4, 1, false), (4, 2, false)] {
+    // Atomic delivery multiplies same-instant frontier-write bursts, so
+    // the one-sender (§4.6) atomic tier runs at n=3 and the n=4 tier
+    // runs non-atomic (the delivery-log invariants still get exhaustive
+    // coverage via the n=3 runs and randomized n=4 coverage below).
+    for (n, k, senders) in [(3, 1, 1), (3, 2, 1), (4, 1, 0), (4, 2, 0)] {
         let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, n, k);
-        scenario.atomic = atomic;
+        scenario.atomic_senders = senders;
         let report = explore_executions(&ExploreConfig::exhaustive(scenario));
         assert!(report.is_clean(), "n={n} k={k}: {report}");
         assert!(
@@ -51,7 +51,7 @@ fn exhaustive_covers_all_algorithms() {
 #[test]
 fn dpor_matches_exhaustive_with_fewer_executions() {
     let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
-    scenario.atomic = false;
+    scenario.atomic_senders = 0;
     let full = explore_executions(&ExploreConfig::exhaustive(scenario.clone()));
     let dpor = explore_executions(&ExploreConfig::dpor(scenario));
     assert!(full.is_clean(), "exhaustive: {full}");
@@ -73,7 +73,7 @@ fn dpor_matches_exhaustive_with_fewer_executions() {
 #[ignore = "heavy (~10s release, minutes debug): the CI explore job runs it with --release --include-ignored"]
 fn dpor_reduces_tenfold_at_n5() {
     let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 5, 2);
-    scenario.atomic = false;
+    scenario.atomic_senders = 0;
     let mut full_cfg = ExploreConfig::exhaustive(scenario.clone());
     full_cfg.max_executions = 100_000; // the space is ~47k executions
     let full = explore_executions(&full_cfg);
@@ -188,7 +188,7 @@ fn loss_exploration_is_clean_and_converges() {
     // terminal state (one crash-free digest), with no hangs and a clean
     // trace oracle on every interleaving.
     let mut base = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2);
-    base.atomic = false;
+    base.atomic_senders = 0;
     let lossy = base
         .clone()
         .with_loss(3, ReliabilityPolicy::selective_ack());

@@ -999,14 +999,13 @@ pub fn explore_throughput(quick: bool) -> String {
 
     let mut rows = Vec::new();
     let mut cases: Vec<(&str, ExploreConfig)> = Vec::new();
-    let mut atomic3 = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2);
-    atomic3.atomic = true;
+    let atomic3 = ExploreScenario::small(Algorithm::BinomialPipeline, 3, 2);
     cases.push((
         "exhaustive n=3 k=2 atomic",
         ExploreConfig::exhaustive(atomic3),
     ));
     let mut plain4 = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
-    plain4.atomic = false;
+    plain4.atomic_senders = 0;
     cases.push((
         "exhaustive n=4 k=2",
         ExploreConfig::exhaustive(plain4.clone()),
@@ -1014,7 +1013,7 @@ pub fn explore_throughput(quick: bool) -> String {
     cases.push(("dpor n=4 k=2", ExploreConfig::dpor(plain4.clone())));
     if !quick {
         let mut plain5 = ExploreScenario::small(Algorithm::BinomialPipeline, 5, 2);
-        plain5.atomic = false;
+        plain5.atomic_senders = 0;
         cases.push(("dpor n=5 k=2", ExploreConfig::dpor(plain5)));
         cases.push((
             "random n=4 k=2 x500",
@@ -1098,7 +1097,7 @@ pub fn explore_bench_probe(_quick: bool) -> ExploreBench {
     use analyzer::{explore_executions, ExploreConfig, ExploreScenario};
 
     let mut scenario = ExploreScenario::small(Algorithm::BinomialPipeline, 4, 2);
-    scenario.atomic = false;
+    scenario.atomic_senders = 0;
     let t0 = std::time::Instant::now();
     let full = explore_executions(&ExploreConfig::exhaustive(scenario.clone()));
     let dpor = explore_executions(&ExploreConfig::dpor(scenario));
@@ -1440,8 +1439,8 @@ pub fn multigroup_sweep(quick: bool) -> MultigroupReport {
 /// workload replayed through one ordering mode at one shard-count /
 /// offered-load point.
 pub struct AtomicCell {
-    /// `"multi_sender"` (rotated atomic overlay) or `"single_sender"`
-    /// (raw RDMC from the shard root, legacy §4.6 stability path).
+    /// `"multi_sender"` (every member sends, rotated) or
+    /// `"single_sender"` (the shard root alone sends: §4.6).
     pub mode: &'static str,
     /// Number of shard groups sharing the fabric.
     pub shards: usize,
@@ -1554,26 +1553,26 @@ fn atomic_point(shards: usize, offered_gbps: f64, messages: usize, multi: bool) 
         max_outstanding_sends: 1,
     };
     let arrivals = workload.generate(messages);
-    let spec = ClusterSpec::fractus(NODES);
-    // (arrival ns, commit time) per message, either mode.
-    let mut commits: Vec<(u64, simnet::SimTime)> = Vec::with_capacity(arrivals.len());
-    if multi {
-        let mut builder = ClusterBuilder::new(spec);
-        for s in 0..shards {
-            builder = builder.atomic(group_spec(workload.members(s)));
-        }
-        let mut cluster = builder.build();
-        let mut pending: Vec<(usize, rdmc_sim::MessageId, u64)> = Vec::new();
-        for a in &arrivals {
-            let id = cluster.schedule_atomic_send_at(
-                a.shard,
-                simnet::SimTime::from_nanos(a.at_ns),
-                a.size,
-            );
-            pending.push((a.shard, id, a.at_ns));
-        }
-        cluster.run();
-        for (s, id, at_ns) in pending {
+    // Either mode is one atomic overlay per shard; only the sender
+    // count differs (single = the shard root alone, the §4.6 case).
+    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(NODES)).build();
+    for s in 0..shards {
+        let members = workload.members(s);
+        let senders = if multi { members.len() } else { 1 };
+        let _ = cluster.create_atomic_group_with_senders(group_spec(members), senders);
+    }
+    let mut pending = Vec::with_capacity(arrivals.len());
+    for a in &arrivals {
+        let at = simnet::SimTime::from_nanos(a.at_ns);
+        let id = cluster.schedule_atomic_send_at(a.shard, at, a.size);
+        pending.push((a.shard, id, a.at_ns));
+    }
+    cluster.run();
+    // (arrival ns, commit time) per message; commit = the slowest live
+    // member's total-order upcall.
+    let commits: Vec<(u64, simnet::SimTime)> = pending
+        .into_iter()
+        .map(|(s, id, at_ns)| {
             let commit = cluster
                 .atomic_live_members(s)
                 .iter()
@@ -1587,40 +1586,9 @@ fn atomic_point(shards: usize, offered_gbps: f64, messages: usize, multi: bool) 
                 })
                 .max()
                 .expect("atomic group has members");
-            commits.push((at_ns, commit));
-        }
-    } else {
-        let mut cluster = ClusterBuilder::new(spec).build();
-        let groups: Vec<rdmc_sim::GroupId> = (0..shards)
-            .map(|s| {
-                let g = cluster.create_group(group_spec(workload.members(s)));
-                cluster.enable_atomic_delivery(g);
-                g
-            })
-            .collect();
-        let mut per_group: Vec<Vec<u64>> = vec![Vec::new(); shards];
-        for a in &arrivals {
-            cluster.schedule_send_at(
-                groups[a.shard],
-                simnet::SimTime::from_nanos(a.at_ns),
-                a.size,
-            );
-            per_group[a.shard].push(a.at_ns);
-        }
-        cluster.run();
-        for (s, &g) in groups.iter().enumerate() {
-            let n = workload.members(s).len();
-            // Single-sender FIFO: the k-th stable delivery is the k-th
-            // arrival of that shard; commit = slowest member's upcall.
-            for (k, &at_ns) in per_group[s].iter().enumerate() {
-                let commit = (0..n)
-                    .map(|r| cluster.stable_deliveries(g, r as u32)[k])
-                    .max()
-                    .expect("group has members");
-                commits.push((at_ns, commit));
-            }
-        }
-    }
+            (at_ns, commit)
+        })
+        .collect();
     let latencies: Vec<f64> = commits
         .iter()
         .map(|&(at_ns, commit)| (commit.as_secs_f64() - at_ns as f64 / 1e9) * 1e3)
@@ -1647,9 +1615,9 @@ fn atomic_point(shards: usize, offered_gbps: f64, messages: usize, multi: bool) 
 }
 
 /// The atomic multicast sweep: the ShardedWorkload serving story at the
-/// small-message end, each shard ordered either by the rotated
-/// multi-sender overlay or by a single root sender on raw RDMC (the
-/// legacy §4.6 stability path), measured as *committed* operations per
+/// small-message end, each shard ordered by the atomic overlay with
+/// either every member sending (rotated) or the shard root alone (one
+/// sender: the §4.6 single-sender case), measured as *committed* operations per
 /// second — a message counts only once every member has issued its
 /// total-order upcall. Rotation multiplies the per-shard in-flight
 /// budget by the member count, which is what keeps the committed rate

@@ -1,7 +1,7 @@
 //! Pins the atomic multicast sweep's headline result: at the 8-shard
 //! point offered more than a lone sender can serialize, rotating the
 //! sender role through the members commits more operations per second
-//! than single-sender RDMC under the legacy stability path — the
+//! than an atomic group whose shard root alone sends (§4.6) — the
 //! Derecho/Spindle argument for multi-sender groups at the
 //! small-message end of the serving story.
 

@@ -4,13 +4,15 @@
 //! multi-sender atomic multicast by creating *one RDMC subgroup per
 //! sender*, each with the member list rotated so that sender sits at
 //! rank 0, and interleaving the senders' messages round-robin into a
-//! single global **slot** sequence: slot `s` belongs to member
-//! `s mod n`. Every member delivers slots in slot order, which makes
-//! the delivery sequence identical at every member by construction —
-//! the only question is *when* a slot may be delivered.
+//! single global **slot** sequence: with the first `s` members sending,
+//! slot `k` belongs to member `k mod s`. Every member delivers slots in
+//! slot order, which makes the delivery sequence identical at every
+//! member by construction — the only question is *when* a slot may be
+//! delivered. One sender (`s = 1`) is the paper's §4.6 atomic delivery:
+//! a plain RDMC group whose deliveries wait for stability.
 //!
 //! That question is answered by per-sender **received frontiers** in
-//! SST rows ([`sst::ViewTracker::with_frontiers`]): member `i`
+//! SST rows ([`sst::ViewTracker::with_frontiers`]): every member `i`
 //! publishes, for every sender `j`, how many of `j`'s slots it has
 //! resolved (received via RDMC, or learned to be *null*). The minimum
 //! over live rows is the **stability frontier**: once every live member
@@ -40,7 +42,7 @@ use sst::ViewTracker;
 
 use crate::cluster::{GroupId, MessageId};
 
-/// Identifies an atomic (multi-sender) group within a
+/// Identifies an atomic group within a
 /// [`SimCluster`](crate::SimCluster), as returned by
 /// [`SimCluster::create_atomic_group`](crate::SimCluster::create_atomic_group).
 pub type AtomicGroupId = usize;
@@ -84,7 +86,7 @@ pub(crate) enum SlotKind {
 
 /// One slot of the global total-order sequence.
 pub(crate) struct Slot {
-    /// Member index that owns the slot (`slot mod n` over live members).
+    /// Sender index that owns the slot (`slot mod s` over live senders).
     pub(crate) owner: usize,
     /// Index among the owner's slots (dense per owner).
     pub(crate) seq: u64,
@@ -114,25 +116,32 @@ pub(crate) struct AtomicRuntime {
     /// member index `i` herein is the canonical identity used in slots,
     /// frontiers, and trace scopes.
     pub(crate) nodes: Vec<usize>,
-    /// `subgroups[j]`: the RDMC subgroup rooted at member `j` (its
-    /// member list is `nodes` rotated left by `j`). `subgroups[0]` is
-    /// the *anchor* — frontier epidemics run on its connections and its
-    /// id names the group in trace scopes.
+    /// `subgroups[j]`: the RDMC subgroup rooted at sender `j` (its
+    /// member list is `nodes` rotated left by `j`); members `0..s` send,
+    /// where `s = subgroups.len()`. `subgroups[0]` is the *anchor* —
+    /// frontier epidemics run on its connections and its id names the
+    /// group in trace scopes.
     pub(crate) subgroups: Vec<GroupId>,
     /// The global slot sequence, in submission order.
     pub(crate) slots: Vec<Slot>,
-    /// Per member: how many slots it owns so far (the next `seq`).
-    pub(crate) owned: Vec<u64>,
+    /// Per sender: the indices of its slots in `slots`, in `seq` order
+    /// (its length is the next `seq`).
+    pub(crate) owned: Vec<Vec<usize>>,
     pub(crate) members: Vec<AtomicMember>,
     /// Member indices evicted by a view change; their rows no longer
     /// count toward stability minima.
     pub(crate) dead: BTreeSet<usize>,
-    /// Round-robin rotation cursor: the member index owning the next
-    /// slot (advanced past dead members at submission time).
+    /// Round-robin rotation cursor: the sender index owning the next
+    /// slot (advanced past dead senders at submission time).
     pub(crate) cursor: usize,
 }
 
 impl AtomicRuntime {
+    /// How many members send: members `0..senders()` of `nodes`.
+    pub(crate) fn senders(&self) -> usize {
+        self.subgroups.len()
+    }
+
     /// The live member indices, ascending — the rows stability minima
     /// run over.
     pub(crate) fn live_rows(&self) -> Vec<u32> {
@@ -141,12 +150,12 @@ impl AtomicRuntime {
             .collect()
     }
 
-    /// First live member at or after `from` in rotation order, or
-    /// `None` if everyone is dead.
+    /// First live sender at or after `from` in rotation order, or
+    /// `None` if every sender is dead.
     pub(crate) fn next_live_owner(&self, from: usize) -> Option<usize> {
-        let n = self.nodes.len();
-        (0..n)
-            .map(|k| (from + k) % n)
+        let s = self.senders();
+        (0..s)
+            .map(|k| (from + k) % s)
             .find(|m| !self.dead.contains(m))
     }
 }
@@ -155,17 +164,17 @@ impl AtomicRuntime {
 mod tests {
     use super::*;
 
-    fn runtime(n: usize) -> AtomicRuntime {
+    fn runtime(n: usize, senders: usize) -> AtomicRuntime {
         AtomicRuntime {
             nodes: (0..n).collect(),
-            subgroups: (0..n).collect(),
+            subgroups: (0..senders).collect(),
             slots: Vec::new(),
-            owned: vec![0; n],
+            owned: vec![Vec::new(); senders],
             members: (0..n)
                 .map(|i| AtomicMember {
-                    tracker: ViewTracker::with_frontiers(i as u32, n as u32, n as u32),
+                    tracker: ViewTracker::with_frontiers(i as u32, n as u32, senders as u32),
                     next_deliver: 0,
-                    stable_seen: vec![0; n],
+                    stable_seen: vec![0; senders],
                     log: Vec::new(),
                 })
                 .collect(),
@@ -176,7 +185,7 @@ mod tests {
 
     #[test]
     fn rotation_skips_dead_members() {
-        let mut a = runtime(4);
+        let mut a = runtime(4, 4);
         assert_eq!(a.next_live_owner(2), Some(2));
         a.dead.insert(2);
         assert_eq!(a.next_live_owner(2), Some(3));
@@ -186,8 +195,19 @@ mod tests {
     }
 
     #[test]
+    fn rotation_stays_within_the_senders() {
+        let mut a = runtime(4, 2);
+        assert_eq!(a.next_live_owner(1), Some(1));
+        a.dead.insert(1);
+        assert_eq!(a.next_live_owner(1), Some(0), "receivers never own slots");
+        a.dead.insert(0);
+        assert_eq!(a.next_live_owner(0), None);
+        assert_eq!(a.live_rows(), vec![2, 3], "receivers still gate stability");
+    }
+
+    #[test]
     fn extinct_group_has_no_owner() {
-        let mut a = runtime(2);
+        let mut a = runtime(2, 2);
         a.dead.insert(0);
         a.dead.insert(1);
         assert_eq!(a.next_live_owner(0), None);

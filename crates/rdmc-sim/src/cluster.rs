@@ -53,8 +53,8 @@ use verbs::{CpuReport, Delivery, Fabric, NodeId, QpHandle, Transport, WrId};
 const TAG_READY: u64 = 0;
 /// One-sided-write tag for relayed failure notices.
 const TAG_FAILURE: u64 = 1;
-/// One-sided-write tag for atomic-delivery status counters (§4.6).
-const TAG_STATUS: u64 = 2;
+// Tag 2 is retired, not free: tags are wire-visible (external probes
+// match `TAG_FRONTIER` by number), so they are never renumbered.
 /// One-sided-write tag for membership-view (suspicion/epoch) updates.
 const TAG_VIEW: u64 = 3;
 /// One-sided-write tag for gap-repair requests (reliability layer).
@@ -346,8 +346,6 @@ struct GroupRuntime {
     orig_members: Vec<usize>,
     /// Current rank -> original rank (identity until a reconfiguration).
     orig_rank: Vec<usize>,
-    /// Derecho-style atomic delivery (None = plain RDMC semantics).
-    atomic: Option<AtomicState>,
     /// Set when this group is one sender's subgroup of an atomic
     /// multicast overlay: `(atomic group id, sender member index)`.
     /// Deliveries and reconfigurations then feed the overlay's frontier
@@ -369,19 +367,6 @@ impl GroupRuntime {
             .position(|&o| o == orig)
             .map(|c| c as Rank)
     }
-}
-
-/// Derecho's §4.6 scheme: RDMC deliveries are buffered; each member
-/// publishes its received-count in a replicated status table (one-sided
-/// writes); a message is *stably delivered* once every member is known to
-/// hold it.
-struct AtomicState {
-    /// status[me][peer] = peer's completed count as known at `me`.
-    status: Vec<Vec<u64>>,
-    /// Per rank: how many messages have been stably delivered.
-    stable_count: Vec<u64>,
-    /// Per rank: stable-delivery times in message order.
-    stable_at: Vec<Vec<SimTime>>,
 }
 
 /// An RDMC deployment over any [`Transport`]: transport + engines +
@@ -428,6 +413,9 @@ pub struct Cluster<T: Transport = Fabric> {
     /// Deliberately seeded ordering bugs (mutation testing of the
     /// exploration harness); empty in normal operation.
     mutations: Vec<Mutation>,
+    /// [`Mutation::UnsortedQpTeardown`] state: this cluster's index
+    /// among the clusters its thread seeded with the mutation.
+    replay_nonce: u64,
     /// [`Mutation::LazyRecvPost`] state: receives whose posting was
     /// (buggily) deferred, flushed at the owning node's next delivery.
     lazy_recvs: BTreeMap<usize, Vec<(QpHandle, u64)>>,
@@ -478,9 +466,11 @@ pub type SimCluster = Cluster<Fabric>;
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
-    /// Resurrects the PR 5 determinism bug: epoch teardown iterates the
-    /// queue-pair map in hash order, so two runs of the *same* choice
-    /// sequence diverge. Caught by the replay-determinism audit.
+    /// Resurrects a past determinism bug: epoch teardown order depends
+    /// on state outside the run — here, whether the cluster is an odd or
+    /// even one its thread seeded with this mutation (odd ones tear down
+    /// in reverse) — so two consecutive runs of the *same* choice
+    /// sequence always diverge. Caught by the replay-determinism audit.
     UnsortedQpTeardown,
     /// Reorders the §4.2 same-instant receive/send pair: a readiness
     /// grant posts its one-sided write first and defers the receive
@@ -530,6 +520,7 @@ impl<T: Transport> Cluster<T> {
             action_pool: Vec::new(),
             scheduler: None,
             mutations: Vec::new(),
+            replay_nonce: 0,
             lazy_recvs: BTreeMap::new(),
             default_reliability: None,
             rel_send: BTreeMap::new(),
@@ -569,8 +560,15 @@ impl<T: Transport> Cluster<T> {
     /// exploration harness — see [`Mutation`]). Not for normal use.
     #[doc(hidden)]
     pub fn seed_mutation(&mut self, mutation: Mutation) {
-        if !self.mutations.contains(&mutation) {
-            self.mutations.push(mutation);
+        thread_local! {
+            static TEARDOWN_REPLAYS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        }
+        if self.mutations.contains(&mutation) {
+            return;
+        }
+        self.mutations.push(mutation);
+        if mutation == Mutation::UnsortedQpTeardown {
+            self.replay_nonce = TEARDOWN_REPLAYS.with(|c| c.replace(c.get() + 1));
         }
     }
 
@@ -806,7 +804,6 @@ impl<T: Transport> Cluster<T> {
             peak_backlog: 0,
             orig_members,
             orig_rank: (0..n as usize).collect(),
-            atomic: None,
             overlay: None,
             recovery: self
                 .recovery_config
@@ -907,54 +904,6 @@ impl<T: Transport> Cluster<T> {
         let delay = at.saturating_since(self.fabric.now());
         self.fabric
             .schedule_timer(NodeId(node as u32), delay, token);
-    }
-
-    /// Switches a group to Derecho-style *atomic delivery* (§4.6): RDMC
-    /// completions are buffered and a message is delivered only once the
-    /// replicated status table shows every member holds it. Call right
-    /// after [`SimCluster::create_group`], before any sends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if messages were already sent on the group.
-    pub fn enable_atomic_delivery(&mut self, group: GroupId) {
-        let g = &mut self.groups[group];
-        assert!(
-            g.results.is_empty(),
-            "enable atomic delivery before sending"
-        );
-        let n = g.spec.members.len();
-        g.atomic = Some(AtomicState {
-            status: vec![vec![0; n]; n],
-            stable_count: vec![0; n],
-            stable_at: vec![Vec::new(); n],
-        });
-    }
-
-    /// Stable-delivery times per member for an atomic group, in message
-    /// order (empty vectors for a plain group).
-    pub fn stable_deliveries(&self, group: GroupId, rank: Rank) -> &[SimTime] {
-        self.groups[group]
-            .atomic
-            .as_ref()
-            .map(|a| a.stable_at[rank as usize].as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Checks whether new messages became stable at `rank` and records
-    /// their delivery times.
-    fn advance_stability(&mut self, group: GroupId, rank: Rank) {
-        let now = self.fabric.now();
-        let g = &mut self.groups[group];
-        let Some(atomic) = g.atomic.as_mut() else {
-            return;
-        };
-        let me = rank as usize;
-        let stable_idx = atomic.status[me].iter().copied().min().expect("members");
-        while atomic.stable_count[me] < stable_idx {
-            atomic.stable_count[me] += 1;
-            atomic.stable_at[me].push(now);
-        }
     }
 
     /// Advances the simulation by one software-visible delivery (and
@@ -1100,16 +1049,6 @@ impl<T: Transport> Cluster<T> {
             }
             for &s in &g.senders {
                 mix(&mut h, s as u64);
-            }
-            if let Some(a) = &g.atomic {
-                for row in &a.status {
-                    for &c in row {
-                        mix(&mut h, c);
-                    }
-                }
-                for &c in &a.stable_count {
-                    mix(&mut h, c);
-                }
             }
         }
         // Overlay state (mixed only when atomic groups exist, so plain
@@ -1266,15 +1205,6 @@ impl<T: Transport> Cluster<T> {
                             u32::from_le_bytes(payload[..4].try_into().expect("failure payload"));
                         self.feed(group, me, Event::PeerFailed { rank: failed });
                         self.note_suspicion(group, me, failed);
-                    }
-                    TAG_STATUS => {
-                        let count =
-                            u64::from_le_bytes(payload[..8].try_into().expect("status payload"));
-                        if let Some(a) = self.groups[group].atomic.as_mut() {
-                            let cell = &mut a.status[me as usize][peer as usize];
-                            *cell = (*cell).max(count);
-                        }
-                        self.advance_stability(group, me);
                     }
                     TAG_VIEW => {
                         self.view_update(group, me, peer, &payload);
@@ -1473,7 +1403,7 @@ impl<T: Transport> Cluster<T> {
                     self.fabric.consume_cpu(node, profile.malloc_latency);
                     deferred_copy += profile.memcpy_time(first_block);
                 }
-                Action::DeliverMessage { size } => {
+                Action::DeliverMessage { .. } => {
                     let now = self.fabric.now();
                     let g = &mut self.groups[group];
                     let orig = g.orig_rank[rank as usize];
@@ -1481,43 +1411,6 @@ impl<T: Transport> Cluster<T> {
                         panic!("group {group} rank {rank}: delivery with no pending message")
                     });
                     g.results[idx].delivered_at[orig] = Some(now);
-                    let _ = size;
-                    // Atomic mode: publish the new received-count to every
-                    // peer's status table and re-evaluate stability.
-                    let count = {
-                        let g = &self.groups[group];
-                        let o = g.orig_rank[rank as usize];
-                        g.results
-                            .iter()
-                            .filter(|m| m.delivered_at[o].is_some())
-                            .count() as u64
-                    };
-                    let is_atomic = self.groups[group].atomic.is_some();
-                    if is_atomic {
-                        if let Some(a) = self.groups[group].atomic.as_mut() {
-                            a.status[rank as usize][rank as usize] = count;
-                        }
-                        let n = self.groups[group].spec.members.len() as Rank;
-                        for peer in 0..n {
-                            if peer == rank {
-                                continue;
-                            }
-                            let peer_node =
-                                NodeId(self.groups[group].spec.members[peer as usize] as u32);
-                            if self.fabric.is_crashed(peer_node) {
-                                continue;
-                            }
-                            let qp = self.ensure_qp(group, rank, peer);
-                            let _ = self.fabric.post_write(
-                                qp,
-                                WrId(count),
-                                TAG_STATUS,
-                                Bytes::copy_from_slice(&count.to_le_bytes()),
-                                None,
-                            );
-                        }
-                        self.advance_stability(group, rank);
-                    }
                     // Atomic overlay: a subgroup delivery resolves one of
                     // its sender's data slots at this member — advance
                     // the member's received frontier and re-run its
@@ -2186,10 +2079,6 @@ impl<T: Transport> Cluster<T> {
     /// engine and tracker.
     fn perform_reconfiguration(&mut self, group: GroupId, view: View, forced: bool) {
         let now = self.fabric.now();
-        assert!(
-            self.groups[group].atomic.is_none(),
-            "atomic-delivery groups do not reconfigure"
-        );
         // Members this view change actually removes (still present in the
         // current epoch's membership), in original ranks.
         let removed: Vec<Rank> = {
@@ -2339,21 +2228,15 @@ impl<T: Transport> Cluster<T> {
         // still in flight for them become ownerless and are ignored. The
         // map is ordered, so plain iteration is already run-to-run stable
         // (hash-order teardown was the PR 5 determinism regression).
-        let old_qps: Vec<QpHandle> = if self.has_mutation(Mutation::UnsortedQpTeardown) {
-            // Seeded PR 5 regression: copy through a hash map (fresh
-            // `RandomState` per map) so teardown order varies even across
-            // two runs of the identical choice sequence — exactly what
-            // the replay-determinism audit exists to catch.
-            #[allow(clippy::disallowed_types)]
-            let scrambled: std::collections::HashMap<(Rank, Rank), QpHandle> = self.groups[group]
-                .qps
-                .iter()
-                .map(|(&k, &v)| (k, v))
-                .collect();
-            scrambled.into_values().collect()
-        } else {
-            self.groups[group].qps.values().copied().collect()
-        };
+        let mut old_qps: Vec<QpHandle> = self.groups[group].qps.values().copied().collect();
+        if self.has_mutation(Mutation::UnsortedQpTeardown) && self.replay_nonce % 2 == 1 {
+            // Seeded determinism regression: the order depends on how many
+            // mutated clusters this thread built before, so two
+            // back-to-back runs of the identical choice sequence tear
+            // down differently — exactly what the replay-determinism
+            // audit exists to catch.
+            old_qps.reverse();
+        }
         for qp in old_qps {
             self.qp_owner.remove(&qp);
             self.fabric.break_qp(qp);
@@ -2951,10 +2834,36 @@ impl<T: Transport> Cluster<T> {
     /// or if the group has fewer than two members.
     pub fn create_atomic_group(&mut self, spec: GroupSpec) -> AtomicGroupId {
         let n = spec.members.len();
+        self.create_atomic_group_with_senders(spec, n)
+    }
+
+    /// Creates an atomic group whose first `senders` members (of
+    /// `spec.members`, in order) send; the rest only receive, yet still
+    /// gate stability. Only senders get an RDMC subgroup and slots
+    /// rotate through them alone. `senders = 1` is the paper's §4.6
+    /// single-sender atomic delivery: one unrotated RDMC group whose
+    /// deliveries are held until every member's frontier row shows the
+    /// message; `senders = spec.members.len()` is
+    /// [`SimCluster::create_atomic_group`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`SimCluster::create_atomic_group`] does, or if
+    /// `senders` is not in `1..=spec.members.len()`.
+    pub fn create_atomic_group_with_senders(
+        &mut self,
+        spec: GroupSpec,
+        senders: usize,
+    ) -> AtomicGroupId {
+        let n = spec.members.len();
         assert!(n >= 2, "an atomic group needs at least two members");
+        assert!(
+            (1..=n).contains(&senders),
+            "an atomic group of {n} needs 1..={n} senders, not {senders}"
+        );
         let aid = self.atomics.len();
-        let mut subgroups = Vec::with_capacity(n);
-        for j in 0..n {
+        let mut subgroups = Vec::with_capacity(senders);
+        for j in 0..senders {
             let gid = self.create_group(GroupSpec {
                 members: rotation::rotated_members(&spec.members, j),
                 algorithm: spec.algorithm.clone(),
@@ -2967,9 +2876,9 @@ impl<T: Transport> Cluster<T> {
         }
         let members = (0..n)
             .map(|i| AtomicMember {
-                tracker: ViewTracker::with_frontiers(i as u32, n as u32, n as u32),
+                tracker: ViewTracker::with_frontiers(i as u32, n as u32, senders as u32),
                 next_deliver: 0,
-                stable_seen: vec![0; n],
+                stable_seen: vec![0; senders],
                 log: Vec::new(),
             })
             .collect();
@@ -2977,7 +2886,7 @@ impl<T: Transport> Cluster<T> {
             nodes: spec.members,
             subgroups,
             slots: Vec::new(),
-            owned: vec![0; n],
+            owned: vec![Vec::new(); senders],
             members,
             dead: BTreeSet::new(),
             cursor: 0,
@@ -2987,19 +2896,19 @@ impl<T: Transport> Cluster<T> {
 
     /// Submits a `size`-byte message on the atomic group's next
     /// rotation slot: successive submissions rotate the sender role
-    /// round-robin through the live members.
+    /// round-robin through the live senders.
     ///
     /// # Panics
     ///
-    /// Panics if every member of the group is dead.
+    /// Panics if every sender of the group is dead.
     pub fn submit_atomic(&mut self, ag: AtomicGroupId, size: u64) -> MessageId {
         let owner = self.atomics[ag]
             .next_live_owner(self.atomics[ag].cursor)
-            .expect("atomic group has live members");
+            .expect("atomic group has live senders");
         self.submit_atomic_as(ag, owner, size)
     }
 
-    /// Submits a `size`-byte message *from a specific member*: every
+    /// Submits a `size`-byte message *from a specific sender*: every
     /// live slot owner between the rotation cursor and `origin`
     /// contributes a **null** slot (Spindle's null-send elision — the
     /// skip is announced through the owner's own frontier row, no data
@@ -3007,12 +2916,12 @@ impl<T: Transport> Cluster<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `origin` is out of range or was evicted by a view
-    /// change.
+    /// Panics if `origin` is not one of the group's senders or was
+    /// evicted by a view change.
     pub fn submit_atomic_from(&mut self, ag: AtomicGroupId, origin: usize, size: u64) -> MessageId {
         assert!(
-            origin < self.atomics[ag].nodes.len(),
-            "origin {origin} outside the group"
+            origin < self.atomics[ag].senders(),
+            "origin {origin} is not a sender of the group"
         );
         assert!(
             !self.atomics[ag].dead.contains(&origin),
@@ -3047,7 +2956,7 @@ impl<T: Transport> Cluster<T> {
             .insert(token, TimerAction::AtomicSend { ag, size, message });
         let host = self.atomics[ag]
             .next_live_owner(self.atomics[ag].cursor)
-            .expect("atomic group has live members");
+            .expect("atomic group has live senders");
         let node = self.atomics[ag].nodes[host];
         let delay = at.saturating_since(self.fabric.now());
         self.fabric
@@ -3138,9 +3047,9 @@ impl<T: Transport> Cluster<T> {
         let slot_no = self.atomics[ag].slots.len() as u64;
         {
             let a = &mut self.atomics[ag];
-            let seq = a.owned[owner];
-            a.owned[owner] += 1;
-            a.cursor = (owner + 1) % a.nodes.len();
+            let seq = a.owned[owner].len() as u64;
+            a.owned[owner].push(a.slots.len());
+            a.cursor = (owner + 1) % a.senders();
             a.slots.push(Slot {
                 owner,
                 seq,
@@ -3172,9 +3081,9 @@ impl<T: Transport> Cluster<T> {
         let slot_no = self.atomics[ag].slots.len() as u64;
         {
             let a = &mut self.atomics[ag];
-            let seq = a.owned[owner];
-            a.owned[owner] += 1;
-            a.cursor = (owner + 1) % a.nodes.len();
+            let seq = a.owned[owner].len() as u64;
+            a.owned[owner].push(a.slots.len());
+            a.cursor = (owner + 1) % a.senders();
             a.slots.push(Slot {
                 owner,
                 seq,
@@ -3242,19 +3151,16 @@ impl<T: Transport> Cluster<T> {
     /// dense per-sender sequence order: a data slot resolves when the
     /// member's replica of `j`'s subgroup delivered it locally, a null
     /// when the owner's published frontier covers it (trivially at the
-    /// owner itself), and a trimmed slot unconditionally.
+    /// owner itself), and a trimmed slot unconditionally. The walk
+    /// starts at the member's published frontier, so it costs the
+    /// advance, not the slot history.
     fn atomic_resolved_count(&self, ag: AtomicGroupId, member: usize, j: usize) -> u64 {
         let a = &self.atomics[ag];
         let n = a.nodes.len();
         let m = &a.members[member];
         let mut f = m.tracker.frontier(member as u32, j as u32);
-        for slot in a.slots.iter().filter(|s| s.owner == j) {
-            if slot.seq < f {
-                continue;
-            }
-            if slot.seq > f {
-                break;
-            }
+        while let Some(&si) = a.owned[j].get(f as usize) {
+            let slot = &a.slots[si];
             let resolved = slot.trimmed
                 || match slot.kind {
                     SlotKind::Null => {
@@ -3284,8 +3190,7 @@ impl<T: Transport> Cluster<T> {
         {
             return;
         }
-        let n = self.atomics[ag].nodes.len();
-        let targets: Vec<u64> = (0..n)
+        let targets: Vec<u64> = (0..self.atomics[ag].senders())
             .map(|j| self.atomic_resolved_count(ag, member, j))
             .collect();
         let scope = self.atomic_scope(ag, member);
@@ -3353,7 +3258,7 @@ impl<T: Transport> Cluster<T> {
     fn atomic_deliver(&mut self, ag: AtomicGroupId, member: usize) {
         let now = self.fabric.now();
         let scope = self.atomic_scope(ag, member);
-        let n = self.atomics[ag].nodes.len();
+        let senders = self.atomics[ag].senders() as u32;
         let live = self.atomics[ag].live_rows();
         if live.is_empty() {
             return;
@@ -3362,7 +3267,7 @@ impl<T: Transport> Cluster<T> {
         {
             let a = &mut self.atomics[ag];
             let m = &mut a.members[member];
-            for j in 0..n as u32 {
+            for j in 0..senders {
                 let stable = m.tracker.stable_frontier(j, &live);
                 if stable > m.stable_seen[j as usize] {
                     m.stable_seen[j as usize] = stable;
@@ -3493,7 +3398,7 @@ impl<T: Transport> Cluster<T> {
             // (b) pool survivor replicas: every row cell becomes the max
             // any survivor saw (the view-change state exchange).
             for row in 0..n as u32 {
-                for s in 0..n as u32 {
+                for s in 0..a.senders() as u32 {
                     let seen = live
                         .iter()
                         .map(|&m| a.members[m].tracker.frontier(row, s))
@@ -3509,7 +3414,7 @@ impl<T: Transport> Cluster<T> {
             }
             // (c) dead senders' nulls beyond what they ever announced:
             // no survivor can learn of them now, so they are trimmed.
-            let dead: Vec<usize> = a.dead.iter().copied().collect();
+            let dead: Vec<usize> = a.dead.range(..a.senders()).copied().collect();
             for w in dead {
                 let reach = live
                     .iter()

@@ -5,8 +5,8 @@
 //! they come out in. A pure-Rust rotation model predicts every log
 //! entry; the overlay, swept across all four dissemination algorithms
 //! and with and without seeded fabric loss (geo profile, erasure
-//! protection), must match it exactly, and the pinned-sender case must
-//! agree with the legacy §4.6 single-sender stable-delivery path.
+//! protection), must match it exactly — and so must the §4.6
+//! single-sender case, a group with one sender.
 
 use proptest::prelude::*;
 use rdmc::Algorithm;
@@ -48,11 +48,13 @@ fn model_log(n: usize, plan: &[(usize, u64)]) -> Vec<(u64, u32, u64, u64)> {
     log
 }
 
-/// One differential run: an `n`-member atomic group on the given
-/// algorithm, optionally on a lossy geo fabric under erasure
-/// protection, fed the submission plan through `submit_atomic_from`.
+/// One differential run: an `n`-member atomic group whose first
+/// `senders` members send, on the given algorithm, optionally on a
+/// lossy geo fabric under erasure protection, fed the submission plan
+/// through `submit_atomic_from`.
 fn differential_run(
     n: usize,
+    senders: usize,
     algorithm: Algorithm,
     plan: &[(usize, u64)],
     loss: Option<(u64, u32)>,
@@ -76,19 +78,25 @@ fn differential_run(
         profile.set_default(LinkFault::lossy(f64::from(ppm) / 1e6));
         builder = builder.fault_profile(profile);
     }
-    let mut cluster = builder
-        .flight_recorder(trace::Mode::Full)
-        .atomic(spec)
-        .build();
+    let mut cluster = builder.flight_recorder(trace::Mode::Full).build();
+    let ag = cluster.create_atomic_group_with_senders(spec, senders);
     for &(origin, size) in plan {
-        cluster.submit_atomic_from(0, origin, size);
+        cluster.submit_atomic_from(ag, origin, size);
     }
     cluster.run();
     cluster
 }
 
-fn assert_matches_model(cluster: &SimCluster, n: usize, plan: &[(usize, u64)], ctx: &str) {
-    let expected = model_log(n, plan);
+/// Every one of the `n` members' logs equals the rotation model over
+/// `senders` senders, and the trace oracle accepts the run.
+fn assert_matches_model(
+    cluster: &SimCluster,
+    n: usize,
+    senders: usize,
+    plan: &[(usize, u64)],
+    ctx: &str,
+) {
+    let expected = model_log(senders, plan);
     for m in 0..n {
         let log: Vec<_> = cluster
             .atomic_log(0, m)
@@ -129,56 +137,39 @@ proptest! {
             .map(|(i, o)| (o.index(n), (size_sel + 32 * (i as u64 % 3)) * KB))
             .collect();
         let ctx = format!("n={n} {algorithm:?} loss={loss:?} plan={plan:?}");
-        let cluster = differential_run(n, algorithm.clone(), &plan, loss);
+        let cluster = differential_run(n, n, algorithm.clone(), &plan, loss);
         prop_assert!(
             cluster.recovery_stats().reconfigurations.is_empty(),
             "{ctx}: loss escalated into an eviction"
         );
-        assert_matches_model(&cluster, n, &plan, &ctx);
-        let rerun = differential_run(n, algorithm, &plan, loss);
+        assert_matches_model(&cluster, n, n, &plan, &ctx);
+        let rerun = differential_run(n, n, algorithm, &plan, loss);
         prop_assert_eq!(cluster.state_digest(), rerun.state_digest(), "{}: rerun diverged", ctx);
     }
 }
 
-/// Pinning every submission to one sender reduces the overlay to the
-/// legacy §4.6 single-sender atomic delivery: same count, same
-/// submission order, and the overlay's upcall never precedes the moment
-/// the legacy status-table path would release the same message.
+/// Pinning every submission to one member of a fully rotated group and
+/// declaring a group with that member as its only sender (§4.6) order
+/// the same messages the same way: both equal the model, and the
+/// one-sender group spends no null slots.
 #[test]
-fn pinned_sender_agrees_with_the_legacy_stability_path() {
+fn pinned_sender_agrees_with_the_single_sender_group() {
     let n = 4;
     let sizes = [128 * KB, 192 * KB, 64 * KB, 256 * KB, 128 * KB];
     let plan: Vec<(usize, u64)> = sizes.iter().map(|&s| (0usize, s)).collect();
-    let overlay = differential_run(n, Algorithm::BinomialPipeline, &plan, None);
-    assert_matches_model(&overlay, n, &plan, "pinned");
+    let pinned = differential_run(n, n, Algorithm::BinomialPipeline, &plan, None);
+    assert_matches_model(&pinned, n, n, &plan, "pinned");
 
-    let mut legacy = ClusterBuilder::new(ClusterSpec::fractus(n)).build();
-    let group = legacy.create_group(GroupSpec {
-        members: (0..n).collect(),
-        algorithm: Algorithm::BinomialPipeline,
-        block_size: 64 * KB,
-        ready_window: 2,
-        max_outstanding_sends: 2,
-    });
-    legacy.enable_atomic_delivery(group);
-    for &s in &sizes {
-        legacy.submit_send(group, s);
-    }
-    legacy.run();
+    let single = differential_run(n, 1, Algorithm::BinomialPipeline, &plan, None);
+    assert_matches_model(&single, n, 1, &plan, "single sender");
+    assert_eq!(single.atomic_num_slots(0), plan.len() as u64);
+    // Same messages, same per-sender order; only the slot numbers
+    // differ (the rotated group spends nulls on the idle members).
+    let order = |c: &SimCluster, m: usize| -> Vec<(u32, u64, u64)> {
+        let log = c.atomic_log(0, m);
+        log.iter().map(|d| (d.sender, d.seq, d.size)).collect()
+    };
     for m in 0..n {
-        let log = overlay.atomic_log(0, m);
-        let stable = legacy.stable_deliveries(group, m as u32);
-        assert_eq!(
-            log.len(),
-            stable.len(),
-            "member {m}: delivery counts differ"
-        );
-        // Submission order both ways, and the legacy path's stable
-        // times are monotone just like the overlay's slot order.
-        assert!(log.windows(2).all(|w| w[0].slot < w[1].slot));
-        assert!(stable.windows(2).all(|w| w[0] <= w[1]));
-        for (d, &s) in log.iter().zip(&sizes) {
-            assert_eq!(d.size, s, "member {m}: sizes out of submission order");
-        }
+        assert_eq!(order(&pinned, m), order(&single, m), "member {m}");
     }
 }

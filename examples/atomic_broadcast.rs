@@ -6,7 +6,7 @@
 //!
 //! This example measures exactly that trade on the simulated fabric: the
 //! same message stream with plain RDMC delivery vs stability-gated
-//! delivery.
+//! delivery through an atomic group with one sender.
 //!
 //! ```sh
 //! cargo run --release --example atomic_broadcast
@@ -16,31 +16,37 @@ use rdmc::Algorithm;
 use rdmc_sim::{ClusterBuilder, ClusterSpec, GroupSpec};
 
 const MB: u64 = 1 << 20;
+const NODES: usize = 8;
 const MESSAGES: usize = 10;
 const SIZE: u64 = 16 * MB;
 
 fn run(atomic: bool) -> (f64, f64) {
-    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(8)).build();
-    let group = cluster.create_group(GroupSpec {
-        members: (0..8).collect(),
+    let spec = GroupSpec {
+        members: (0..NODES).collect(),
         algorithm: Algorithm::BinomialPipeline,
         block_size: MB,
         ready_window: 3,
         max_outstanding_sends: 3,
-    });
-    if atomic {
-        cluster.enable_atomic_delivery(group);
-    }
-    for _ in 0..MESSAGES {
-        cluster.submit_send(group, SIZE);
-    }
-    cluster.run();
+    };
+    let mut cluster = ClusterBuilder::new(ClusterSpec::fractus(NODES)).build();
     // End-to-end: last relevant delivery across all members.
     let end = if atomic {
-        (0..8u32)
-            .flat_map(|r| cluster.stable_deliveries(group, r).iter().copied())
+        // Member 0 is the only sender; every member's frontier row
+        // gates each upcall.
+        let ag = cluster.create_atomic_group_with_senders(spec, 1);
+        for _ in 0..MESSAGES {
+            cluster.submit_atomic(ag, SIZE);
+        }
+        cluster.run();
+        (0..NODES)
+            .flat_map(|m| cluster.atomic_log(ag, m).iter().map(|d| d.at))
             .max()
     } else {
+        let group = cluster.create_group(spec);
+        for _ in 0..MESSAGES {
+            cluster.submit_send(group, SIZE);
+        }
+        cluster.run();
         cluster
             .message_results()
             .iter()
@@ -55,7 +61,7 @@ fn run(atomic: bool) -> (f64, f64) {
 
 fn main() {
     println!(
-        "streaming {MESSAGES} x {} MB through an 8-node binomial pipeline\n",
+        "streaming {MESSAGES} x {} MB through an {NODES}-node binomial pipeline\n",
         SIZE / MB
     );
     let (plain_ms, plain_bw) = run(false);
@@ -64,7 +70,7 @@ fn main() {
     println!("atomic  (stability) : {stable_ms:8.2} ms end-to-end  ({stable_bw:5.1} Gb/s)");
     println!(
         "\nstability tax: {:.2}% — the paper's \"surprisingly small\" added\n\
-         delay, bought with one status write per member per message.",
+         delay, bought with one frontier write per member per message.",
         100.0 * (stable_ms / plain_ms - 1.0)
     );
     assert!(stable_ms >= plain_ms);
