@@ -1926,23 +1926,24 @@ pub struct ScaleShardedCell {
 }
 
 /// The 10k-flow churn half of the `scale` section: the same flow churn
-/// on the legacy flat kernel (participating uplinks, per-flow entries)
-/// and the hierarchy-aware kernel (transparent fat-tree tier, interned
-/// flow sets).
+/// on a flat two-tier fabric (every uplink participates in the fill) and
+/// on the fat-tree whose aggregation tier is transparent to the
+/// allocator. Both run the one allocator, so the comparison isolates the
+/// transparent tier.
 pub struct ScaleChurnCell {
     /// Concurrent flows held live through the churn.
     pub flows: usize,
     /// Churn operations (each = one removal + one start).
     pub ops: usize,
-    /// Ripple link-visits per kernel event, legacy kernel.
-    pub legacy_visits_per_event: f64,
-    /// Ripple link-visits per kernel event, hierarchy-aware kernel.
+    /// Ripple link-visits per kernel event, flat fabric.
+    pub flat_visits_per_event: f64,
+    /// Ripple link-visits per kernel event, hierarchy-aware fabric.
     pub scaled_visits_per_event: f64,
-    /// `legacy / scaled` — the acceptance bar is >= 5x.
+    /// `flat / scaled` — the acceptance bar is >= 5x.
     pub visit_speedup: f64,
-    /// Kernel events per wall-clock second, legacy kernel.
-    pub legacy_events_per_sec: f64,
-    /// Kernel events per wall-clock second, hierarchy-aware kernel.
+    /// Kernel events per wall-clock second, flat fabric.
+    pub flat_events_per_sec: f64,
+    /// Kernel events per wall-clock second, hierarchy-aware fabric.
     pub scaled_events_per_sec: f64,
     /// Same-instant coalescing hits in the hierarchy-aware run.
     pub scaled_coalesced: u64,
@@ -1965,7 +1966,7 @@ impl ScaleReport {
         let s = &self.sharded;
         let mut out = String::from(
             "Datacenter scale: 1000-node fat-tree, 100-shard open-loop workload \
-             (interned paths, transparent aggregation tier)\n",
+             (transparent aggregation tier)\n",
         );
         out.push_str(&render(
             &row![
@@ -2002,7 +2003,7 @@ impl ScaleReport {
         ));
         out.push_str(&render(
             &row![
-                "kernel",
+                "fabric",
                 "link-visits/event",
                 "events/s",
                 "coalesced",
@@ -2010,9 +2011,9 @@ impl ScaleReport {
             ],
             &[
                 row![
-                    "legacy (flat)",
-                    format!("{:.1}", c.legacy_visits_per_event),
-                    format!("{:.0}", c.legacy_events_per_sec),
+                    "flat",
+                    format!("{:.1}", c.flat_visits_per_event),
+                    format!("{:.0}", c.flat_events_per_sec),
                     "-",
                     "-"
                 ],
@@ -2044,8 +2045,8 @@ impl ScaleReport {
              \"link_visits_per_realloc\": {:.2}, \"coalesced\": {}, \
              \"heap_compactions\": {}, \"wall_s\": {:.3}}},\n    \
              \"churn\": {{\"flows\": {}, \"ops\": {}, \
-             \"legacy_visits_per_event\": {:.2}, \"scaled_visits_per_event\": {:.2}, \
-             \"visit_speedup\": {:.2}, \"legacy_events_per_sec\": {:.0}, \
+             \"flat_visits_per_event\": {:.2}, \"scaled_visits_per_event\": {:.2}, \
+             \"visit_speedup\": {:.2}, \"flat_events_per_sec\": {:.0}, \
              \"scaled_events_per_sec\": {:.0}, \"scaled_coalesced\": {}, \
              \"scaled_heap_compactions\": {}}}\n  }}",
             s.nodes,
@@ -2065,10 +2066,10 @@ impl ScaleReport {
             s.wall_s,
             c.flows,
             c.ops,
-            c.legacy_visits_per_event,
+            c.flat_visits_per_event,
             c.scaled_visits_per_event,
             c.visit_speedup,
-            c.legacy_events_per_sec,
+            c.flat_events_per_sec,
             c.scaled_events_per_sec,
             c.scaled_coalesced,
             c.scaled_heap_compactions,
@@ -2077,8 +2078,8 @@ impl ScaleReport {
 }
 
 /// Runs the 1000-node, 100-shard `ShardedWorkload` on the fat-tree
-/// datacenter profile with path interning — ROADMAP item 5's target
-/// configuration — and meters the kernel while it runs.
+/// datacenter profile — ROADMAP item 5's target configuration — and
+/// meters the kernel while it runs.
 fn scale_sharded(quick: bool) -> ScaleShardedCell {
     const NODES: usize = 1000;
     const SHARDS: usize = 100;
@@ -2108,8 +2109,7 @@ fn scale_sharded(quick: bool) -> ScaleShardedCell {
         .collect();
     let base = verbs::perf::snapshot();
     let t0 = std::time::Instant::now();
-    let outcome =
-        rdmc_sim::run_open_loop_with(&spec, &memberships, &arrivals, MB / 8, None, false, true);
+    let outcome = rdmc_sim::run_open_loop(&spec, &memberships, &arrivals, MB / 8, None, false);
     let wall_s = t0.elapsed().as_secs_f64();
     let d = verbs::perf::snapshot().delta_since(&base);
     let latencies: Vec<f64> = outcome
@@ -2147,10 +2147,10 @@ fn scale_sharded(quick: bool) -> ScaleShardedCell {
 /// One churn run at the flow-network level: `conns` node pairs on a
 /// 1000-host two-tier fabric, `flows_per_conn` long-lived flows per pair
 /// (the multicast "many flows, same path" shape), then `ops` churn steps
-/// of one removal plus one start each. `scaled` picks the
-/// hierarchy-aware kernel (transparent fat-tree tier + interned paths)
-/// over the legacy flat one. Returns the stats delta over the churn loop
-/// and its wall-clock seconds.
+/// of one removal plus one start each. `scaled` picks the fat-tree with
+/// its transparent aggregation tier over the flat two-tier fabric, whose
+/// uplinks join every pod pair into the fill. Returns the stats delta
+/// over the churn loop and its wall-clock seconds.
 fn churn_once(
     scaled: bool,
     conns: usize,
@@ -2161,9 +2161,6 @@ fn churn_once(
     let (pods, per_pod) = (40usize, 25usize);
     let hosts = pods * per_pod;
     let mut net = simnet::FlowNet::new();
-    if scaled {
-        net.set_interning(true);
-    }
     let latency = SimDuration::from_micros(4);
     let topo = if scaled {
         simnet::Topology::fat_tree(&mut net, pods, per_pod, 100.0, latency)
@@ -2182,7 +2179,7 @@ fn churn_once(
     // shape: each connection carries many concurrent block transfers
     // (same path), and distinct connections share no host NIC. The only
     // thing coupling them is the aggregation tier, which is exactly what
-    // the hierarchy-aware kernel knows can never bind.
+    // the transparent fat-tree tier tells the allocator can never bind.
     assert!(2 * conns <= hosts, "pairs must be node-disjoint");
     let pairs: Vec<(usize, usize)> = (0..conns).map(|i| (i, hosts / 2 + i)).collect();
     // Big enough that nothing completes during the run.
@@ -2220,24 +2217,24 @@ fn churn_once(
     (d, wall_s)
 }
 
-/// The 10k-flow churn microbench: identical churn on the legacy flat
-/// kernel and the hierarchy-aware kernel, compared on ripple link-visits
-/// per kernel event (one event = one flow start or removal).
+/// The 10k-flow churn microbench: identical churn on the flat two-tier
+/// fabric and the hierarchy-aware fat-tree, compared on ripple
+/// link-visits per kernel event (one event = one flow start or removal).
 fn scale_churn(quick: bool) -> ScaleChurnCell {
     const CONNS: usize = 500;
     const FLOWS_PER_CONN: usize = 20; // 10k live flows
     let ops = if quick { 200 } else { 1_000 };
     let events = 2 * ops as u64;
-    let (legacy, legacy_wall) = churn_once(false, CONNS, FLOWS_PER_CONN, ops);
+    let (flat, flat_wall) = churn_once(false, CONNS, FLOWS_PER_CONN, ops);
     let (scaled, scaled_wall) = churn_once(true, CONNS, FLOWS_PER_CONN, ops);
     let per_event = |d: &simnet::ReallocStats| d.link_visits as f64 / events as f64;
     ScaleChurnCell {
         flows: CONNS * FLOWS_PER_CONN,
         ops,
-        legacy_visits_per_event: per_event(&legacy),
+        flat_visits_per_event: per_event(&flat),
         scaled_visits_per_event: per_event(&scaled),
-        visit_speedup: per_event(&legacy) / per_event(&scaled).max(f64::MIN_POSITIVE),
-        legacy_events_per_sec: events as f64 / legacy_wall.max(f64::MIN_POSITIVE),
+        visit_speedup: per_event(&flat) / per_event(&scaled).max(f64::MIN_POSITIVE),
+        flat_events_per_sec: events as f64 / flat_wall.max(f64::MIN_POSITIVE),
         scaled_events_per_sec: events as f64 / scaled_wall.max(f64::MIN_POSITIVE),
         scaled_coalesced: scaled.coalesced,
         scaled_heap_compactions: scaled.heap_compactions,

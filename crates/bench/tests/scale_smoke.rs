@@ -29,9 +29,9 @@ fn quick_scale_benchmark_completes_with_clean_counters() {
     assert!(
         c.visit_speedup >= 5.0,
         "ripple link-visit reduction {:.1}x fell below the 5x bar \
-         (legacy {:.1}/event vs hierarchy-aware {:.1}/event)",
+         (flat {:.1}/event vs hierarchy-aware {:.1}/event)",
         c.visit_speedup,
-        c.legacy_visits_per_event,
+        c.flat_visits_per_event,
         c.scaled_visits_per_event,
     );
 }
@@ -66,7 +66,6 @@ fn scale_run_stall_attribution_is_airtight() {
         })
         .collect();
     let mut cluster = ClusterBuilder::new(spec.clone())
-        .intern_paths()
         .flight_recorder(trace::Mode::Full)
         .build();
     let recorder = cluster.recorder().clone();

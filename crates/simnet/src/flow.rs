@@ -16,17 +16,26 @@
 //!
 //! # Performance model
 //!
-//! Three structural properties keep per-event cost sublinear in the number
+//! Four structural properties keep per-event cost sublinear in the number
 //! of active flows:
 //!
+//! * **Path classes.** Flows with byte-identical paths form one *class*,
+//!   and the allocator's sharing graph has classes, not flows, as nodes
+//!   (a flow alone on its path is a class of one). Max-min gives
+//!   same-path flows one rate and freezes them at the same bottleneck,
+//!   so a multicast step that launches k same-route transfers costs one
+//!   class visit per traversal instead of k. The grouping is exact: the
+//!   fill re-rates a bottleneck's flows in start order and subtracts the
+//!   fair share once per flow, so rates, byte totals, and event order are
+//!   bit-identical to filling flow by flow.
 //! * **Ripple-set reallocation.** Max-min allocations decompose over
-//!   connected components of the flow/link sharing graph: a link either
+//!   connected components of the class/link sharing graph: a link either
 //!   carries only component flows or none, so water-filling restricted to
 //!   the component reachable from the changed flow is *exact*, not an
 //!   approximation. [`FlowNet::start_flow`] / [`FlowNet::complete_flow`] /
 //!   [`FlowNet::abort_flow`] therefore re-run progressive filling only over
-//!   that component, falling back to a full recomputation when the ripple
-//!   covers most of the active flows (the traversal would not pay for
+//!   that component, switching to full recomputation while ripples keep
+//!   covering most of the active flows (the traversal would not pay for
 //!   itself).
 //! * **Completion heap.** Projected completion times live in a lazily
 //!   invalidated min-heap keyed by `(time, slot, epoch)`. A flow's
@@ -44,7 +53,7 @@
 //! event loop (see the `verbs` crate).
 
 use std::cmp::Reverse;
-// `InternState::classes` is a pure interning table (get-or-insert by
+// `FlowNet::class_ids` is a pure interning table (get-or-insert by
 // path, never iterated), so hash order cannot reach behavior.
 #[allow(clippy::disallowed_types)]
 use std::collections::{BinaryHeap, HashMap};
@@ -109,6 +118,30 @@ struct Flow {
     /// Instant `remaining_bytes` was last materialized. Always a rate
     /// boundary: flows are materialized exactly when their rate changes.
     synced_at: SimTime,
+    /// Position in the network's start order; the fill re-rates a
+    /// bottleneck's flows in this order.
+    seq: u64,
+    /// The path class the flow belongs to.
+    class: u32,
+}
+
+/// The live flows sharing one byte-identical path. Classes are
+/// append-only (one per distinct path ever started); a class with no
+/// live member is *dead* and absent from every link's adjacency.
+#[derive(Clone, Debug)]
+struct PathClass {
+    path: Vec<LinkId>,
+    /// `(slot, generation)` of the members in start order. Entries of
+    /// removed flows go stale in place and are compacted once they
+    /// outnumber live ones; the list is cleared when the class dies.
+    members: Vec<(u32, u32)>,
+    /// Live-member count.
+    live: u32,
+    /// The rate every member runs at, or NaN while a member that joined
+    /// since the class last froze may run at another. A fill that freezes
+    /// the class at this same rate re-rates nobody, so it skips the
+    /// members outright.
+    rate_bps: f64,
 }
 
 /// Remaining bytes below this threshold count as "done" (absorbs float
@@ -120,8 +153,8 @@ const COMPLETION_EPSILON_BYTES: f64 = 1e-6;
 pub struct ReallocStats {
     /// Reallocations performed.
     pub count: u64,
-    /// Reallocations that fell back to recomputing every flow because the
-    /// ripple component covered most of the network.
+    /// Reallocations that recomputed every flow (full mode) because
+    /// recent ripple components covered most of the network.
     pub full: u64,
     /// Wall-clock nanoseconds spent reallocating.
     pub nanos: u64,
@@ -166,23 +199,38 @@ pub struct FlowNet {
     generations: Vec<u32>,
     free_slots: Vec<u32>,
     active_flows: usize,
+    /// Flows ever started; the next flow's [`Flow::seq`].
+    started: u64,
     /// Instant the network clock last advanced to.
     last_update: SimTime,
-    /// Per-link list of `(slot, generation)` of flows crossing it.
-    /// Entries of removed flows go stale rather than being unlinked
-    /// eagerly; they are compacted when a ripple traversal visits the
-    /// link, or at removal time once stale entries outnumber live ones.
-    link_flows: Vec<Vec<(u32, u32)>>,
+    /// Path → class id. Lookup-only (never iterated); see the import
+    /// note.
+    #[allow(clippy::disallowed_types)]
+    class_ids: HashMap<Vec<LinkId>, u32>,
+    classes: Vec<PathClass>,
+    /// Per-class epoch, bumped whenever the class dies, invalidating its
+    /// entries in the per-link adjacency. Dense (apart from `classes`)
+    /// because adjacency scans read it for every entry.
+    class_epoch: Vec<u32>,
+    /// Per-link `(class, epoch)` of the live classes crossing it. A class
+    /// joins when its first member starts; its entries go stale when it
+    /// dies and are compacted whenever a traversal walks the link, or at
+    /// class death once a list outgrows twice the link's live flows.
+    link_classes: Vec<Vec<(u32, u32)>>,
     /// Per-link count of live flows, maintained incrementally at flow
     /// start/removal. Lets the full-recompute path skip adjacency
-    /// traversal entirely and bounds `link_flows` staleness.
+    /// traversal entirely.
     link_live: Vec<u32>,
     /// Recent recomputations rippled across (nearly) the whole network,
-    /// so the traversal is skipped in favor of a linear scan over slots
-    /// and links. Re-probed with a real traversal every 64th
-    /// reallocation, which flips the mode back off if components
-    /// shrank.
+    /// so the traversal is skipped in favor of a linear scan over the
+    /// links. Re-probed with a real traversal every 64th reallocation,
+    /// which flips the mode back off if components shrank.
     full_mode: bool,
+    /// The last ripple traversal covered most active flows. Full mode
+    /// latches only on two such ripples in a row, so a single burst of
+    /// independent same-instant starts (whose seeds alone cover the
+    /// network) does not switch it on.
+    wide_ripple: bool,
     /// Min-heap of projected completions `(time_ns, slot, epoch)` with
     /// lazy invalidation: an entry is live iff the slot is occupied and
     /// its epoch matches `rate_epoch[slot]`. Exactly one live entry
@@ -208,40 +256,6 @@ pub struct FlowNet {
     /// Flight recorder for flow start/rate-change/finish events;
     /// disabled (a single branch per event) by default.
     recorder: trace::Recorder,
-    /// Flow-set interning state; `None` (the default) runs the per-flow
-    /// allocator. See [`FlowNet::set_interning`].
-    intern: Option<InternState>,
-}
-
-/// Flow-set interning: flows with byte-identical paths share one node
-/// ("class") in the allocator's sharing graph. A multicast step that
-/// launches k same-path transfers then costs O(1) class work per
-/// reallocation instead of O(k) flow work: traversal, freezing, and
-/// residual subtraction all happen once per class, scaled by its live
-/// count. Classes are append-only (one entry per distinct path ever
-/// seen); a class with no live flows contributes nothing and is skipped.
-#[derive(Default)]
-struct InternState {
-    /// Path → class id. Lookup-only (never iterated); see the import
-    /// note.
-    #[allow(clippy::disallowed_types)]
-    classes: HashMap<Vec<LinkId>, u32>,
-    /// Per-class path (the interned key, shared by every member).
-    class_path: Vec<Vec<LinkId>>,
-    /// Per-class `(slot, generation)` members; entries of removed flows go
-    /// stale in place and are compacted once they outnumber live ones.
-    class_members: Vec<Vec<(u32, u32)>>,
-    /// Per-class live-member count.
-    class_live: Vec<u32>,
-    /// Epoch-stamped traversal marks, indexed by class.
-    class_mark: Vec<u32>,
-    /// Epoch-stamped "frozen in the current fill" marks, indexed by class.
-    class_frozen: Vec<u32>,
-    /// Per-slot class id (meaningful while the slot is occupied).
-    class_of: Vec<u32>,
-    /// Per-link list of classes whose path crosses it. Each class appears
-    /// at most once per link, pushed exactly once at class creation.
-    link_classes: Vec<Vec<u32>>,
 }
 
 #[derive(Default)]
@@ -259,15 +273,15 @@ struct ReallocScratch {
     requeue_buf: Vec<Reverse<(u64, u32)>>,
     /// Epoch-stamped visited marks for the ripple traversal.
     link_mark: Vec<u32>,
-    flow_mark: Vec<u32>,
+    class_mark: Vec<u32>,
     mark: u32,
     /// BFS frontier of link indices; callers seed it with the changed
     /// flow's path before invoking `reallocate`.
     frontier: Vec<u32>,
-    /// Component flow slots in discovery order.
-    comp: Vec<u32>,
-    /// Epoch-stamped "frozen in the current fill" marks, indexed by slot.
-    frozen_mark: Vec<u32>,
+    /// Epoch-stamped "frozen in the current fill" marks, indexed by class.
+    class_frozen: Vec<u32>,
+    /// `(seq, slot)` of the flows re-rated at the current bottleneck.
+    re_rated: Vec<(u64, u32)>,
     /// Slots whose rate actually changed in the current fill.
     changed: Vec<u32>,
 }
@@ -303,10 +317,15 @@ impl FlowNet {
             generations: Vec::new(),
             free_slots: Vec::new(),
             active_flows: 0,
+            started: 0,
             last_update: SimTime::ZERO,
-            link_flows: Vec::new(),
+            class_ids: Default::default(),
+            classes: Vec::new(),
+            class_epoch: Vec::new(),
+            link_classes: Vec::new(),
             link_live: Vec::new(),
             full_mode: false,
+            wide_ripple: false,
             completions: BinaryHeap::new(),
             rate_epoch: Vec::new(),
             stats: ReallocStats::default(),
@@ -314,7 +333,6 @@ impl FlowNet {
             dirty: false,
             dirty_start: false,
             recorder: trace::Recorder::disabled(),
-            intern: None,
         }
     }
 
@@ -322,29 +340,6 @@ impl FlowNet {
     /// completions are recorded from then on.
     pub fn set_recorder(&mut self, recorder: trace::Recorder) {
         self.recorder = recorder;
-    }
-
-    /// Enables flow-set (path) interning: flows sharing a byte-identical
-    /// path share one node in the allocator's sharing graph, so a
-    /// multicast step with k same-path transfers costs O(1) class work
-    /// per reallocation instead of O(k). Opt-in because grouping fuses
-    /// the per-flow residual subtractions of the fill into one
-    /// `share * live` step, which changes the floating-point summation
-    /// order: rates may differ from the default kernel in the last ulps.
-    /// Enable it for scale experiments, not for golden-trace runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flow has ever been started on this network.
-    pub fn set_interning(&mut self, on: bool) {
-        assert!(
-            self.slots.is_empty(),
-            "interning must be configured before the first flow starts"
-        );
-        self.intern = on.then(|| InternState {
-            link_classes: vec![Vec::new(); self.links.len()],
-            ..InternState::default()
-        });
     }
 
     /// Marks `link` as a *transparent* aggregation hop: the caller
@@ -404,11 +399,8 @@ impl FlowNet {
             bytes_carried: 0.0,
             transparent: false,
         });
-        self.link_flows.push(Vec::new());
+        self.link_classes.push(Vec::new());
         self.link_live.push(0);
-        if let Some(intern) = &mut self.intern {
-            intern.link_classes.push(Vec::new());
-        }
         id
     }
 
@@ -443,35 +435,31 @@ impl FlowNet {
     }
 
     /// Total payload bytes carried by `link` up to the current instant,
-    /// including the not-yet-materialized progress of live flows.
+    /// including the not-yet-materialized progress of live flows (summed
+    /// in start order).
     pub fn bytes_carried(&self, link: LinkId) -> f64 {
         let i = link.0 as usize;
-        let mut total = self.links[i].bytes_carried;
-        let unmaterialized = |slot: u32, generation: u32| -> f64 {
-            let s = slot as usize;
-            if self.generations[s] != generation {
-                return 0.0; // stale entry of a removed flow
+        let mut pending: Vec<(u64, f64)> = Vec::new();
+        for &(cid, epoch) in &self.link_classes[i] {
+            if self.class_epoch[cid as usize] != epoch {
+                continue; // stale entry of a dead class
             }
-            match &self.slots[s] {
-                Some(f) => {
-                    let dt = self.last_update.since(f.synced_at).as_secs_f64();
-                    (f.rate_bps / 8.0 * dt).min(f.remaining_bytes)
+            for &(slot, generation) in &self.classes[cid as usize].members {
+                let s = slot as usize;
+                if self.generations[s] != generation {
+                    continue; // stale member of a removed flow
                 }
-                None => 0.0,
-            }
-        };
-        if let Some(intern) = &self.intern {
-            for &cid in &intern.link_classes[i] {
-                for &(slot, generation) in &intern.class_members[cid as usize] {
-                    total += unmaterialized(slot, generation);
-                }
-            }
-        } else {
-            for &(slot, generation) in &self.link_flows[i] {
-                total += unmaterialized(slot, generation);
+                let f = self.slots[s].as_ref().expect("live member");
+                let dt = self.last_update.since(f.synced_at).as_secs_f64();
+                pending.push((f.seq, (f.rate_bps / 8.0 * dt).min(f.remaining_bytes)));
             }
         }
-        total
+        pending.sort_unstable_by_key(|&(seq, _)| seq);
+        pending
+            .iter()
+            .fold(self.links[i].bytes_carried, |total, &(_, moved)| {
+                total + moved
+            })
     }
 
     /// Starts a flow of `bytes` across `path` at time `now` and returns its
@@ -515,40 +503,41 @@ impl FlowNet {
                 frontier.push(l.0);
             }
         }
-        if let Some(intern) = &mut self.intern {
-            let cid = match intern.classes.get(&path) {
-                Some(&c) => c,
-                None => {
-                    let c = u32::try_from(intern.class_path.len()).expect("too many classes");
-                    intern.classes.insert(path.clone(), c);
-                    intern.class_path.push(path.clone());
-                    intern.class_members.push(Vec::new());
-                    intern.class_live.push(0);
-                    intern.class_mark.push(0);
-                    intern.class_frozen.push(0);
-                    for l in &path {
-                        intern.link_classes[l.0 as usize].push(c);
-                    }
-                    c
-                }
-            };
-            intern.class_live[cid as usize] += 1;
-            intern.class_members[cid as usize].push((slot, generation));
-            if intern.class_of.len() <= slot as usize {
-                intern.class_of.resize(slot as usize + 1, 0);
+        let cid = match self.class_ids.get(&path) {
+            Some(&c) => c,
+            None => {
+                let c = u32::try_from(self.classes.len()).expect("too many path classes");
+                self.class_ids.insert(path.clone(), c);
+                self.classes.push(PathClass {
+                    path: path.clone(),
+                    members: Vec::new(),
+                    live: 0,
+                    rate_bps: f64::NAN,
+                });
+                self.class_epoch.push(0);
+                c
             }
-            intern.class_of[slot as usize] = cid;
-        } else {
+        };
+        let class = &mut self.classes[cid as usize];
+        if class.live == 0 {
+            // The class comes (back) to life on every link it crosses.
+            let epoch = self.class_epoch[cid as usize];
             for l in &path {
-                self.link_flows[l.0 as usize].push((slot, generation));
+                self.link_classes[l.0 as usize].push((cid, epoch));
             }
         }
+        class.live += 1;
+        class.members.push((slot, generation));
+        class.rate_bps = f64::NAN;
         self.slots[slot as usize] = Some(Flow {
             path,
             remaining_bytes: bytes.max(COMPLETION_EPSILON_BYTES / 2.0),
             rate_bps: 0.0,
             synced_at: now,
+            seq: self.started,
+            class: cid,
         });
+        self.started += 1;
         self.scratch.frontier = frontier;
         // Defer the recomputation: the new flow carries nothing until the
         // flush, which happens before any rate is observed or time moves.
@@ -702,30 +691,31 @@ impl FlowNet {
         self.rate_epoch[slot] = self.rate_epoch[slot].wrapping_add(1);
         self.free_slots.push(slot as u32);
         self.active_flows -= 1;
-        if let Some(intern) = &mut self.intern {
-            for l in &f.path {
-                self.link_live[l.0 as usize] -= 1;
-            }
-            // The member entry goes stale in place; compact the class once
-            // stale entries outnumber live ones (amortized O(1)).
-            let cid = intern.class_of[slot] as usize;
-            intern.class_live[cid] -= 1;
-            if intern.class_members[cid].len() > 2 * intern.class_live[cid] as usize + 8 {
+        for l in &f.path {
+            self.link_live[l.0 as usize] -= 1;
+        }
+        // The member entry goes stale in place; compact the class once
+        // stale entries outnumber live ones (amortized O(1)).
+        let class = &mut self.classes[f.class as usize];
+        class.live -= 1;
+        if class.live > 0 {
+            if class.members.len() > 2 * class.live as usize + 8 {
                 let generations = &self.generations;
-                intern.class_members[cid].retain(|&(s, g)| generations[s as usize] == g);
+                class.members.retain(|&(s, g)| generations[s as usize] == g);
             }
-        } else {
-            // The adjacency entries go stale in place; compact a list once
-            // its stale entries outnumber the live ones (amortized O(1) per
-            // removal), so full-mode reallocations — which skip the
-            // compacting traversal — still iterate mostly-live lists.
-            for l in &f.path {
-                let li = l.0 as usize;
-                self.link_live[li] -= 1;
-                if self.link_flows[li].len() > 2 * self.link_live[li] as usize + 8 {
-                    let generations = &self.generations;
-                    self.link_flows[li].retain(|&(s, g)| generations[s as usize] == g);
-                }
+            return Some(f);
+        }
+        class.members.clear();
+        // The class died: its adjacency entries go stale. Lists that no
+        // traversal walks (transparent links, or any link in full mode)
+        // are compacted here once they outgrow twice their link's live
+        // flows (amortized O(1)).
+        let epochs = &mut self.class_epoch;
+        epochs[f.class as usize] = epochs[f.class as usize].wrapping_add(1);
+        for l in &f.path {
+            let li = l.0 as usize;
+            if self.link_classes[li].len() > 2 * self.link_live[li] as usize + 8 {
+                self.link_classes[li].retain(|&(c, e)| epochs[c as usize] == e);
             }
         }
         Some(f)
@@ -828,15 +818,13 @@ impl FlowNet {
     }
 
     /// Ripple traversal: visit every link reachable from the seed
-    /// frontier through shared flows, compacting each link's flow list
-    /// and building the water-filling state (residual capacity, unfrozen
-    /// count) as a side effect. After compaction the visited per-link
-    /// adjacency lists hold exactly the live flows.
-    ///
-    /// If the resulting component covers most active flows the traversal
-    /// degenerates to a full recomputation (counted in
-    /// [`ReallocStats::full`]).
-    fn ripple_traversal(&mut self, scratch: &mut ReallocScratch, mark: u32) {
+    /// frontier through live path classes, compacting each visited link's
+    /// class list and building the water-filling state (residual
+    /// capacity, unfrozen flow count) as a side effect. Per-link counts
+    /// are *flow* counts: fair shares divide by flows, not classes.
+    /// Returns the number of live flows in the component.
+    fn ripple_traversal(&mut self, scratch: &mut ReallocScratch, mark: u32) -> usize {
+        let mut flows = 0;
         let mut qi = 0;
         while qi < scratch.frontier.len() {
             let li = scratch.frontier[qi] as usize;
@@ -849,20 +837,19 @@ impl FlowNet {
             scratch.residual[li] = self.links[li].capacity_bps;
             scratch.count[li] = 0;
             // Compact the adjacency list in place while enumerating it.
-            let mut list = std::mem::take(&mut self.link_flows[li]);
-            list.retain(|&(slot, generation)| {
-                let s = slot as usize;
-                // A matching generation implies the slot is occupied by
-                // this very flow: removal always bumps the generation.
-                if self.generations[s] != generation {
-                    return false; // stale: flow since removed
+            let mut list = std::mem::take(&mut self.link_classes[li]);
+            list.retain(|&(cid, epoch)| {
+                let c = cid as usize;
+                if self.class_epoch[c] != epoch {
+                    return false; // stale: the class died since
                 }
-                debug_assert!(self.slots[s].is_some(), "live generation, empty slot");
-                scratch.count[li] += 1;
-                if scratch.flow_mark[s] != mark {
-                    scratch.flow_mark[s] = mark;
-                    scratch.comp.push(slot);
-                    for l in &self.slots[s].as_ref().expect("live flow").path {
+                let class = &self.classes[c];
+                let live = class.live;
+                scratch.count[li] += live;
+                if scratch.class_mark[c] != mark {
+                    scratch.class_mark[c] = mark;
+                    flows += live as usize;
+                    for l in &class.path {
                         let j = l.0 as usize;
                         if !self.links[j].transparent && scratch.link_mark[j] != mark {
                             scratch.frontier.push(l.0);
@@ -871,121 +858,26 @@ impl FlowNet {
                 }
                 true
             });
-            self.link_flows[li] = list;
-        }
-
-        // Fallback: a ripple covering most of the network does the same
-        // work as a full recomputation plus traversal overhead, so extend
-        // it to everything (and count it, for the perf report).
-        if scratch.comp.len() * 4 > self.active_flows * 3 && scratch.comp.len() < self.active_flows
-        {
-            self.stats.full += 1;
-            for (s, f) in self.slots.iter().enumerate() {
-                let Some(f) = f else { continue };
-                if scratch.flow_mark[s] == mark {
-                    continue;
-                }
-                scratch.flow_mark[s] = mark;
-                scratch.comp.push(s as u32);
-                for l in &f.path {
-                    let j = l.0 as usize;
-                    if !self.links[j].transparent && scratch.link_mark[j] != mark {
-                        scratch.frontier.push(l.0);
-                    }
-                }
-            }
-            // Drain the extended frontier with the same loop body.
-            while qi < scratch.frontier.len() {
-                let li = scratch.frontier[qi] as usize;
-                qi += 1;
-                if scratch.link_mark[li] == mark {
-                    continue;
-                }
-                scratch.link_mark[li] = mark;
-                scratch.touched.push(li as u32);
-                scratch.residual[li] = self.links[li].capacity_bps;
-                scratch.count[li] = 0;
-                let mut list = std::mem::take(&mut self.link_flows[li]);
-                list.retain(|&(slot, generation)| {
-                    let s = slot as usize;
-                    if self.generations[s] != generation {
-                        return false;
-                    }
-                    scratch.count[li] += 1;
-                    debug_assert_eq!(
-                        scratch.flow_mark[s], mark,
-                        "full fallback visited a link with an unmarked flow"
-                    );
-                    true
-                });
-                self.link_flows[li] = list;
-            }
+            self.link_classes[li] = list;
         }
         scratch.frontier.clear();
-    }
-
-    /// Interned variant of [`FlowNet::ripple_traversal`]: walks the
-    /// class/link sharing graph instead of the flow/link graph, so a link
-    /// carrying k same-path flows is expanded through once. `comp`
-    /// collects class ids; per-link unfrozen counts are still *flow*
-    /// counts (fair shares divide by flows, not classes). Returns the
-    /// number of live flows in the component.
-    fn ripple_traversal_interned(
-        &mut self,
-        intern: &mut InternState,
-        scratch: &mut ReallocScratch,
-        mark: u32,
-    ) -> usize {
-        let mut remaining = 0usize;
-        let mut qi = 0;
-        while qi < scratch.frontier.len() {
-            let li = scratch.frontier[qi] as usize;
-            qi += 1;
-            if scratch.link_mark[li] == mark {
-                continue;
-            }
-            scratch.link_mark[li] = mark;
-            scratch.touched.push(li as u32);
-            scratch.residual[li] = self.links[li].capacity_bps;
-            scratch.count[li] = 0;
-            for &cid in &intern.link_classes[li] {
-                let c = cid as usize;
-                let live = intern.class_live[c];
-                if live == 0 {
-                    continue; // a path no live flow currently uses
-                }
-                scratch.count[li] += live;
-                if intern.class_mark[c] != mark {
-                    intern.class_mark[c] = mark;
-                    scratch.comp.push(cid);
-                    remaining += live as usize;
-                    for l in &intern.class_path[c] {
-                        let j = l.0 as usize;
-                        if !self.links[j].transparent && scratch.link_mark[j] != mark {
-                            scratch.frontier.push(l.0);
-                        }
-                    }
-                }
-            }
-        }
-        scratch.frontier.clear();
-        remaining
+        flows
     }
 
     /// Recomputes rates by progressive filling (max-min fairness) over the
     /// ripple component seeded from `scratch.frontier`, implemented as
     /// heap-based water-filling.
     ///
-    /// The traversal walks the flow/link sharing graph from the seed links
-    /// and collects the connected component; restricting water-filling to
-    /// it is exact because no bandwidth crosses component boundaries. If
-    /// the component covers most active flows the traversal degenerates to
-    /// a full recomputation (counted in [`ReallocStats::full`]), and once
-    /// that becomes the norm the allocator flips into full mode: the
-    /// traversal is skipped outright in favor of linear scans over the
-    /// slot table and the incrementally-maintained per-link live counts.
-    /// A full recomputation is always exact, so the mode switch is purely
-    /// a performance decision and cannot change the allocation.
+    /// The traversal walks the class/link sharing graph from the seed
+    /// links and collects the connected component; restricting
+    /// water-filling to it is exact because no bandwidth crosses
+    /// component boundaries. Once two ripples in a row cover most active
+    /// flows the allocator flips into full mode: the traversal is skipped
+    /// outright and the fill starts from every loaded link, with counts
+    /// taken from the incrementally-maintained per-link live counts
+    /// (counted in [`ReallocStats::full`]). A full recomputation is
+    /// always exact, so the mode switch is purely a performance decision
+    /// and cannot change the allocation.
     ///
     /// Within the fill, bottleneck candidates are consumed in ascending
     /// `(fair share, link)` order from a pre-sorted array, with lazy
@@ -1008,19 +900,18 @@ impl FlowNet {
             scratch.count.resize(num_links, 0);
             scratch.link_mark.resize(num_links, 0);
         }
-        if scratch.flow_mark.len() < self.slots.len() {
-            scratch.flow_mark.resize(self.slots.len(), 0);
-            scratch.frozen_mark.resize(self.slots.len(), 0);
+        if scratch.class_mark.len() < self.classes.len() {
+            scratch.class_mark.resize(self.classes.len(), 0);
+            scratch.class_frozen.resize(self.classes.len(), 0);
         }
         if scratch.mark == u32::MAX {
             scratch.link_mark.fill(0);
-            scratch.flow_mark.fill(0);
-            scratch.frozen_mark.fill(0);
+            scratch.class_mark.fill(0);
+            scratch.class_frozen.fill(0);
             scratch.mark = 0;
         }
         scratch.mark += 1;
         let mark = scratch.mark;
-        scratch.comp.clear();
         scratch.changed.clear();
         scratch.touched.clear();
 
@@ -1029,28 +920,13 @@ impl FlowNet {
         //
         // In full mode the recent ripples covered (nearly) every flow, so
         // the traversal would just rediscover the whole network; instead
-        // the component is a linear scan of the slot table, and the link
-        // state comes straight from the incrementally-maintained per-link
-        // live counts — no adjacency iteration at all. A real traversal
+        // every loaded link joins the fill straight from the per-link live
+        // counts, with no adjacency iteration at all. A real traversal
         // still runs every 64th reallocation to detect when components
         // shrink back below the threshold.
-        let mut intern = self.intern.take();
-        let probe = self.stats.count.is_multiple_of(64);
-        let mut remaining;
-        if let Some(intern) = intern.as_mut() {
-            // Interned mode traverses the class graph; components stay
-            // small by construction (transparent links don't connect
-            // pods), so there is no full-mode shortcut to maintain.
-            remaining = self.ripple_traversal_interned(intern, &mut scratch, mark);
-            self.stats.flows_visited += remaining as u64;
-        } else if self.full_mode && !probe {
+        let mut remaining = if self.full_mode && !self.stats.count.is_multiple_of(64) {
             self.stats.full += 1;
             scratch.frontier.clear();
-            for (s, f) in self.slots.iter().enumerate() {
-                if f.is_some() {
-                    scratch.comp.push(s as u32);
-                }
-            }
             for li in 0..num_links {
                 if self.link_live[li] > 0 && !self.links[li].transparent {
                     scratch.link_mark[li] = mark;
@@ -1059,20 +935,20 @@ impl FlowNet {
                     scratch.count[li] = self.link_live[li];
                 }
             }
-            remaining = scratch.comp.len();
-            self.stats.flows_visited += scratch.comp.len() as u64;
+            self.active_flows
         } else {
-            self.ripple_traversal(&mut scratch, mark);
-            // Stay in (or enter) full mode while ripples keep covering
-            // most of the network. The absolute floor keeps tiny
-            // components — which trivially cover "most" of a near-idle
+            let flows = self.ripple_traversal(&mut scratch, mark);
+            // Enter full mode on the second wide ripple in a row, and stay
+            // while probes keep finding wide ones. The absolute floor keeps
+            // tiny components — which trivially cover "most" of a near-idle
             // network — from latching the mode on ahead of a ramp-up of
             // many independent small components.
-            self.full_mode =
-                scratch.comp.len() >= 128 && scratch.comp.len() * 4 > self.active_flows * 3;
-            remaining = scratch.comp.len();
-            self.stats.flows_visited += scratch.comp.len() as u64;
-        }
+            let wide = flows >= 128 && flows * 4 > self.active_flows * 3;
+            self.full_mode = wide && self.wide_ripple;
+            self.wide_ripple = wide;
+            flows
+        };
+        self.stats.flows_visited += remaining as u64;
         self.stats.link_visits += scratch.touched.len() as u64;
 
         // Phase 2: heap-based water-filling over the component. f64 shares
@@ -1102,6 +978,7 @@ impl FlowNet {
         let mut requeue_buf = std::mem::take(&mut scratch.requeue_buf);
         requeue_buf.clear();
         let mut requeue: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::from(requeue_buf);
+        let mut re_rated = std::mem::take(&mut scratch.re_rated);
         let mut idx = 0;
         let mut work_pushes: u64 = 0;
         while remaining > 0 {
@@ -1133,91 +1010,71 @@ impl FlowNet {
                 requeue.push(Reverse((current, link)));
                 continue;
             }
-            if let Some(intern) = intern.as_mut() {
-                // Freeze whole classes: every member shares the path, so
-                // max-min gives them identical rates and they all freeze
-                // at the same bottleneck instant.
-                let on_link = std::mem::take(&mut intern.link_classes[i]);
-                for &cid in &on_link {
-                    let c = cid as usize;
-                    let live = intern.class_live[c];
-                    if live == 0 || intern.class_frozen[c] == mark {
-                        continue; // dead path, or frozen via another link
-                    }
-                    intern.class_frozen[c] = mark;
-                    remaining -= live as usize;
-                    let members = std::mem::take(&mut intern.class_members[c]);
-                    for &(slot, generation) in &members {
+            // Freeze every unfrozen class crossing the bottleneck (its
+            // members share the path, so max-min freezes them together
+            // here). The share is subtracted once per member flow, never
+            // as one `share * live` product, so residuals round exactly as
+            // flow-by-flow filling rounds them. Flows keep their prior
+            // rate until frozen, so a flow whose allocation is unchanged
+            // is never written at all: no materialization, no new
+            // completion projection.
+            re_rated.clear();
+            for &(cid, epoch) in &self.link_classes[i] {
+                let c = cid as usize;
+                if self.class_epoch[c] != epoch || scratch.class_frozen[c] == mark {
+                    continue; // the class died since, or froze via another link
+                }
+                scratch.class_frozen[c] = mark;
+                let class = &mut self.classes[c];
+                let live = class.live;
+                remaining -= live as usize;
+                if class.rate_bps.to_bits() != share.to_bits() {
+                    class.rate_bps = share;
+                    for &(slot, generation) in &class.members {
                         let s = slot as usize;
                         if self.generations[s] != generation {
                             continue; // stale member of a removed flow
                         }
                         let f = self.slots[s].as_ref().expect("live member");
                         if f.rate_bps.to_bits() != share.to_bits() {
-                            materialize_slot(&mut self.slots, &mut self.links, self.last_update, s);
-                            self.slots[s].as_mut().expect("live member").rate_bps = share;
-                            scratch.changed.push(slot);
+                            re_rated.push((f.seq, slot));
                         }
                     }
-                    intern.class_members[c] = members;
-                    // One fused subtraction per class instead of one per
-                    // member flow.
-                    for l in &intern.class_path[c] {
-                        let j = l.0 as usize;
-                        if self.links[j].transparent {
-                            continue;
-                        }
-                        debug_assert_eq!(
-                            scratch.link_mark[j], mark,
-                            "component class crosses an unvisited link"
-                        );
-                        scratch.residual[j] = (scratch.residual[j] - share * live as f64).max(0.0);
-                        scratch.count[j] -= live;
-                    }
                 }
-                intern.link_classes[i] = on_link;
-                continue;
-            }
-            // Freeze every unfrozen flow crossing the bottleneck,
-            // straight off the adjacency list (the generation check skips
-            // entries of removed flows, which full mode leaves in place).
-            // Flows keep their prior rate until actually frozen, so a flow
-            // whose allocation is unchanged is never written at all: no
-            // materialization, no new completion projection.
-            let on_link = std::mem::take(&mut self.link_flows[i]);
-            for &(slot, generation) in &on_link {
-                let s = slot as usize;
-                if self.generations[s] != generation || scratch.frozen_mark[s] == mark {
-                    continue; // stale entry, or frozen via another link
-                }
-                scratch.frozen_mark[s] = mark;
-                remaining -= 1;
-                let f = self.slots[s].as_ref().expect("flow disappeared");
-                if f.rate_bps.to_bits() != share.to_bits() {
-                    // The rate switches at this boundary: bank the bytes
-                    // moved at the old rate before overwriting it.
-                    materialize_slot(&mut self.slots, &mut self.links, self.last_update, s);
-                    self.slots[s].as_mut().expect("flow disappeared").rate_bps = share;
-                    scratch.changed.push(slot);
-                }
-                let f = self.slots[s].as_ref().expect("flow disappeared");
-                for &l in &f.path {
+                for l in &class.path {
                     let j = l.0 as usize;
                     if self.links[j].transparent {
                         continue; // never part of the fill
                     }
                     debug_assert_eq!(
                         scratch.link_mark[j], mark,
-                        "component flow crosses an unvisited link"
+                        "component class crosses an unvisited link"
                     );
-                    scratch.residual[j] = (scratch.residual[j] - share).max(0.0);
-                    scratch.count[j] -= 1;
+                    scratch.count[j] -= live;
+                    if scratch.count[j] == 0 {
+                        continue; // the residual is never read again
+                    }
+                    for _ in 0..live {
+                        scratch.residual[j] = (scratch.residual[j] - share).max(0.0);
+                    }
                 }
             }
-            self.link_flows[i] = on_link;
+            // Re-rate in start order, the order flow-by-flow filling
+            // walks a link's flows in (each class contributed one run
+            // already in that order, so one class sorts in linear time).
+            // The rate switches at this boundary: bank the bytes moved at
+            // the old rate before overwriting it.
+            re_rated.sort_unstable();
+            for &(_, slot) in &re_rated {
+                let s = slot as usize;
+                materialize_slot(&mut self.slots, &mut self.links, self.last_update, s);
+                self.slots[s].as_mut().expect("live member").rate_bps = share;
+                scratch.changed.push(slot);
+            }
         }
         scratch.sorted_buf = sorted;
         scratch.requeue_buf = requeue.into_vec();
+        scratch.re_rated = re_rated;
         self.stats.heap_pushes += work_pushes;
 
         // Phase 3: re-project completions for the flows whose rate
@@ -1264,7 +1121,6 @@ impl FlowNet {
             self.completions = BinaryHeap::from(entries);
         }
 
-        self.intern = intern;
         self.scratch = scratch;
         self.stats.nanos += t0.elapsed().as_nanos() as u64;
     }
@@ -1437,28 +1293,48 @@ mod tests {
     #[test]
     fn incremental_rates_match_reference_after_churn() {
         // Overlapping paths through a shared middle link, with staggered
-        // arrivals and one abort: incremental rates must equal a fresh
-        // full progressive filling at every step.
+        // arrivals, two same-path flows (one class), an abort, and a path
+        // whose class dies and comes back: incremental rates must equal a
+        // fresh full progressive filling at every step.
         let mut net = FlowNet::new();
         let l0 = gb(&mut net, 4.0);
         let mid = gb(&mut net, 10.0);
         let l2 = gb(&mut net, 6.0);
         let l3 = gb(&mut net, 3.0);
+        let check = |net: &mut FlowNet| {
+            for (id, want) in net.max_min_reference() {
+                let got = net.flow_rate_bps(id).expect("oracle lists live flows");
+                assert!(
+                    (got - want).abs() <= want * 1e-9,
+                    "flow {id:?}: incremental {got} vs reference {want}"
+                );
+            }
+        };
         let mut flows = vec![
             net.start_flow(SimTime::ZERO, vec![l0, mid], 1e9),
             net.start_flow(SimTime::ZERO, vec![mid, l2], 1e9),
+            net.start_flow(SimTime::ZERO, vec![mid, l2], 2e9), // same path as above
             net.start_flow(SimTime::ZERO, vec![l3], 1e9),
         ];
+        check(&mut net);
         flows.push(net.start_flow(SimTime::from_nanos(50), vec![mid], 1e9));
         net.abort_flow(SimTime::from_nanos(90), flows[1]);
+        check(&mut net);
         flows.push(net.start_flow(SimTime::from_nanos(120), vec![l2, mid, l0], 1e9));
-        for (id, want) in net.max_min_reference() {
-            let got = net.flow_rate_bps(id).expect("oracle lists live flows");
-            assert!(
-                (got - want).abs() <= want * 1e-9,
-                "flow {id:?}: incremental {got} vs reference {want}"
-            );
+        check(&mut net);
+        // Path [l3] goes live -> dead -> live.
+        net.abort_flow(SimTime::from_nanos(150), flows[3]);
+        check(&mut net);
+        flows.push(net.start_flow(SimTime::from_nanos(180), vec![l3], 1e9));
+        let _ = net.start_flow(SimTime::from_nanos(180), vec![l3, mid], 1e9);
+        check(&mut net);
+        // Drain to empty: completions must all surface despite class
+        // bookkeeping.
+        while let Some((t, f)) = net.next_completion() {
+            net.complete_flow(t, f);
+            check(&mut net);
         }
+        assert_eq!(net.num_flows(), 0);
     }
 
     #[test]
@@ -1551,47 +1427,11 @@ mod tests {
     }
 
     #[test]
-    fn interned_rates_match_reference_through_churn() {
-        // Same churn script as `incremental_rates_match_reference_after_churn`
-        // but with path interning on (including two identical-path flows):
-        // rates must still match the textbook oracle.
-        let mut net = FlowNet::new();
-        net.set_interning(true);
-        let l0 = gb(&mut net, 4.0);
-        let mid = gb(&mut net, 10.0);
-        let l2 = gb(&mut net, 6.0);
-        let l3 = gb(&mut net, 3.0);
-        let mut flows = vec![
-            net.start_flow(SimTime::ZERO, vec![l0, mid], 1e9),
-            net.start_flow(SimTime::ZERO, vec![mid, l2], 1e9),
-            net.start_flow(SimTime::ZERO, vec![mid, l2], 2e9), // same path as above
-            net.start_flow(SimTime::ZERO, vec![l3], 1e9),
-        ];
-        flows.push(net.start_flow(SimTime::from_nanos(50), vec![mid], 1e9));
-        net.abort_flow(SimTime::from_nanos(90), flows[1]);
-        flows.push(net.start_flow(SimTime::from_nanos(120), vec![l2, mid, l0], 1e9));
-        for (id, want) in net.max_min_reference() {
-            let got = net.flow_rate_bps(id).expect("oracle lists live flows");
-            assert!(
-                (got - want).abs() <= want * 1e-9,
-                "flow {id:?}: interned {got} vs reference {want}"
-            );
-        }
-        // Drain to empty: completions must all surface despite class
-        // bookkeeping.
-        while let Some((t, f)) = net.next_completion() {
-            net.complete_flow(t, f);
-        }
-        assert_eq!(net.num_flows(), 0);
-    }
-
-    #[test]
-    fn interned_identical_paths_share_one_class_visit() {
+    fn identical_paths_share_one_class_visit() {
         // k same-path flows: each reallocation visits one class, so
         // flows_visited grows by k (members re-rated) but the traversal
         // is O(1) in k — link_visits per realloc stays at the path length.
         let mut net = FlowNet::new();
-        net.set_interning(true);
         let a = gb(&mut net, 10.0);
         let b = gb(&mut net, 10.0);
         for _ in 0..16 {
@@ -1602,6 +1442,51 @@ mod tests {
         assert_eq!(s.count, 1, "same-instant starts coalesce into one fill");
         assert_eq!(s.coalesced, 15);
         assert_eq!(s.link_visits, 2, "one visit per path link, not per flow");
+    }
+
+    #[test]
+    fn bottleneck_re_rates_flows_in_start_order() {
+        // A and C share path P, B runs on Q, and all three meet at one
+        // bottleneck: the rate changes must surface in start order
+        // (A, B, C), not grouped by class (A, C, B).
+        let mut net = FlowNet::new();
+        let recorder = trace::Recorder::full();
+        net.set_recorder(recorder.clone());
+        let x = gb(&mut net, 10.0);
+        let p = gb(&mut net, 100.0);
+        let q = gb(&mut net, 100.0);
+        let a = net.start_flow(SimTime::ZERO, vec![x, p], 1e6);
+        let b = net.start_flow(SimTime::ZERO, vec![x, q], 1e6);
+        let c = net.start_flow(SimTime::ZERO, vec![x, p], 1e6);
+        let _ = net.next_completion();
+        let re_rated: Vec<u64> = recorder
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                trace::EventKind::FlowRateChanged { flow, .. } => Some(flow),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(re_rated, [a, b, c].map(FlowId::as_u64));
+    }
+
+    #[test]
+    fn shares_are_subtracted_once_per_flow() {
+        // Three same-path flows freeze at x's share of 1/3 Gb/s and the
+        // flow alone on y gets what they leave. Subtracting the share
+        // three times rounds differently from one `3 * share` product;
+        // the allocator must round as flow-by-flow filling does.
+        let mut net = FlowNet::new();
+        let x = gb(&mut net, 1.0);
+        let y = gb(&mut net, 2.0);
+        for _ in 0..3 {
+            let _ = net.start_flow(SimTime::ZERO, vec![x, y], 1e6);
+        }
+        let q = net.start_flow(SimTime::ZERO, vec![y], 1e6);
+        let share = 1e9 / 3.0;
+        let left = (0..3).fold(2e9, |r: f64, _| r - share);
+        assert_ne!(left, 2e9 - 3.0 * share);
+        assert_eq!(net.flow_rate_bps(q), Some(left));
     }
 
     #[test]
@@ -1624,14 +1509,5 @@ mod tests {
         let l = gb(&mut net, 10.0);
         net.set_link_transparent(l);
         net.start_flow(SimTime::ZERO, vec![l], 1e6);
-    }
-
-    #[test]
-    #[should_panic(expected = "before the first flow")]
-    fn interning_after_flows_rejected() {
-        let mut net = FlowNet::new();
-        let l = gb(&mut net, 10.0);
-        let _ = net.start_flow(SimTime::ZERO, vec![l], 1e6);
-        net.set_interning(true);
     }
 }

@@ -334,19 +334,6 @@ impl Fabric {
         self.recorder = recorder;
     }
 
-    /// Opts the underlying flow network into flow-set interning
-    /// ([`FlowNet::set_interning`]): transfers sharing an identical path —
-    /// the common many-flows-same-route multicast case — share one entry
-    /// in the allocator's sharing graph. Intended for scale experiments;
-    /// interned rates can differ from the default kernel in the last ulps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transfer has already been started on the fabric.
-    pub fn set_path_interning(&mut self, on: bool) {
-        self.net.set_interning(on);
-    }
-
     /// Internal work counters (for performance debugging).
     pub fn stats(&self) -> FabricStats {
         self.stats
