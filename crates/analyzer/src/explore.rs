@@ -463,7 +463,7 @@ fn run_with(scenario: &ExploreScenario, pick: Pick) -> ExecutionResult {
             check_invariants(scenario, &cluster, group, injected, &mut violations);
             (
                 cluster.state_digest(),
-                trace::export::to_jsonl(&cluster.trace_events()),
+                trace::export::to_jsonl(&cluster.recorder().events()),
                 None,
                 injected,
             )
@@ -631,7 +631,7 @@ fn check_invariants(
     // The trace oracle: FIFO send/arrival pairing (no delivery before
     // receipt), causality, delivery completeness, no RNR arms.
     if cluster.recorder().dropped() == 0 {
-        let events = cluster.trace_events();
+        let events = cluster.recorder().events();
         if let Err(errs) =
             trace::check::check_events(&events, &trace::check::CheckConfig::default())
         {

@@ -6,10 +6,11 @@
 use baselines::run_mvapich_multicast;
 use rdmc::{analysis, Algorithm};
 use rdmc_sim::{
-    run_concurrent_overlapping, run_offloaded_chain, run_single_multicast, run_traced_multicast,
-    ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, TopoSpec, TraceKind,
+    run_concurrent_overlapping, run_offloaded_chain, run_single_multicast, wire_model_for,
+    ClusterBuilder, ClusterSpec, GroupSpec, RecoveryConfig, SimCluster, TopoSpec,
 };
-use simnet::{JitterModel, SimDuration};
+use simnet::{JitterModel, SimDuration, SimTime};
+use trace::EventKind;
 use verbs::CompletionMode;
 use workloads::{stats, CosmosTrace, ShardedWorkload};
 
@@ -28,6 +29,34 @@ fn pipeline_group_spec(members: Vec<usize>, block_size: u64, algorithm: Algorith
         ready_window: 3,
         max_outstanding_sends: 3,
     }
+}
+
+/// Runs one binomial-pipeline multicast of `size` bytes (1 MB blocks)
+/// to ranks `0..n` of a cluster built from `builder` with a full flight
+/// recorder, and returns the cluster.
+fn traced_multicast(builder: ClusterBuilder, n: usize, size: u64) -> SimCluster {
+    let mut cluster = builder.flight_recorder(trace::Mode::Full).build();
+    let group = cluster.create_group(pipeline_group_spec(
+        (0..n).collect(),
+        MB,
+        Algorithm::BinomialPipeline,
+    ));
+    cluster.submit_send(group, size);
+    cluster.run();
+    cluster
+}
+
+/// When `rank` of group 0 recorded each event that `pick` selects.
+fn rank_times(
+    events: &[trace::TraceEvent],
+    rank: u32,
+    pick: impl Fn(&EventKind) -> bool,
+) -> Vec<SimTime> {
+    events
+        .iter()
+        .filter(|e| e.scope.group == Some(0) && e.scope.rank == Some(rank) && pick(&e.kind))
+        .map(|e| SimTime::from_nanos(e.t_ns))
+        .collect()
 }
 
 /// Fig. 4: multicast latency of every algorithm (and the MVAPICH
@@ -99,36 +128,18 @@ pub fn fig4_latency(quick: bool) -> String {
 pub fn table1_breakdown(quick: bool) -> String {
     let size = if quick { 64 * MB } else { 256 * MB };
     let spec = ClusterSpec::stampede(4);
-    let mut cluster = ClusterBuilder::new(spec.clone()).tracing().build();
-    let group = cluster.create_group(pipeline_group_spec(
-        (0..4).collect(),
-        MB,
-        Algorithm::BinomialPipeline,
-    ));
-    cluster.submit_send(group, size);
-    cluster.run();
+    let cluster = traced_multicast(ClusterBuilder::new(spec.clone()), 4, size);
     let result = &cluster.message_results()[0];
     let submitted = result.submitted;
     let total = result.latency().expect("transfer completed");
 
-    let first_post = cluster
-        .trace(group, 0)
-        .iter()
-        .find(|r| matches!(r.kind, TraceKind::SendPosted { .. }))
-        .expect("root posted")
-        .time;
+    let events = cluster.recorder().events();
+    let first_post = rank_times(&events, 0, |k| {
+        matches!(k, EventKind::BlockSendIssued { .. })
+    })[0];
     // The farthest node in a 4-member hypercube is rank 3.
-    let far = cluster.trace(group, 3);
-    let arrivals: Vec<_> = far
-        .iter()
-        .filter(|r| matches!(r.kind, TraceKind::BlockArrived { .. }))
-        .map(|r| r.time)
-        .collect();
-    let delivered = far
-        .iter()
-        .find(|r| r.kind == TraceKind::Delivered)
-        .expect("delivered")
-        .time;
+    let arrivals = rank_times(&events, 3, |k| matches!(k, EventKind::BlockArrived { .. }));
+    let delivered = rank_times(&events, 3, |k| matches!(k, EventKind::Delivered { .. }))[0];
     let first_arrival = arrivals[0];
     // Attribution: each of the k-1 post-first blocks costs one block-wire
     // time on the receive path; whatever else the receive window took is
@@ -178,41 +189,28 @@ pub fn fig5_step_timeline(quick: bool) -> String {
     let spec = ClusterSpec::stampede(4);
     // A rare, fixed-length preemption on the relayer (the paper observed
     // one such stall near the end of its instrumented transfer).
-    let mut cluster = ClusterBuilder::new(spec.clone())
-        .tracing()
-        .jitter(
-            1,
-            JitterModel::new(
-                11,
-                0.005,
-                SimDuration::from_micros(100),
-                SimDuration::from_micros(100),
-            ),
-        )
-        .build();
-    let group = cluster.create_group(pipeline_group_spec(
-        (0..4).collect(),
-        MB,
-        Algorithm::BinomialPipeline,
-    ));
-    cluster.submit_send(group, size);
-    cluster.run();
+    let builder = ClusterBuilder::new(spec).jitter(
+        1,
+        JitterModel::new(
+            11,
+            0.005,
+            SimDuration::from_micros(100),
+            SimDuration::from_micros(100),
+        ),
+    );
+    let events = traced_multicast(builder, 4, size).recorder().events();
 
     let mut out = format!(
         "Fig 5: per-step send/wait at sender (rank 0) and relayer (rank 1), {} transfer\n",
         bytes_label(size)
     );
     for rank in [0u32, 1] {
-        let trace = cluster.trace(group, rank);
-        let mut posts = Vec::new();
-        let mut dones = Vec::new();
-        for r in trace {
-            match r.kind {
-                TraceKind::SendPosted { .. } => posts.push(r.time),
-                TraceKind::SendFinished { .. } => dones.push(r.time),
-                _ => {}
-            }
-        }
+        let posts = rank_times(&events, rank, |k| {
+            matches!(k, EventKind::BlockSendIssued { .. })
+        });
+        let dones = rank_times(&events, rank, |k| {
+            matches!(k, EventKind::BlockSendCompleted { .. })
+        });
         let steps = posts.len().min(dones.len());
         let mut sends = Vec::new();
         let mut waits = Vec::new();
@@ -1132,14 +1130,15 @@ pub fn trace_observability(quick: bool) -> String {
     let mut out = String::new();
     for &size in sizes {
         let rows = par_map(&groups, |&n| {
-            let (outcome, events, wire) =
-                run_traced_multicast(&spec, n, Algorithm::BinomialPipeline, size, MB);
-            let b = trace::stall::attribute(&events, 0, &wire)
+            let cluster = traced_multicast(ClusterBuilder::new(spec.clone()), n, size);
+            let events = cluster.recorder().events();
+            let b = trace::stall::attribute(&events, 0, &wire_model_for(&spec))
                 .expect("traced run has a complete group 0 recording");
             let e2e = b.end_to_end_ns;
+            let latency = cluster.message_results()[0].latency();
             assert_eq!(
-                e2e,
-                (outcome.latency.as_secs_f64() * 1e9).round() as u64,
+                Some(e2e),
+                latency.map(SimDuration::as_nanos),
                 "trace-derived end-to-end disagrees with the engine (n={n})"
             );
             let gap = b.attributed_ns().abs_diff(e2e);
@@ -1183,7 +1182,9 @@ pub fn trace_observability(quick: bool) -> String {
     // Per-rank timeline of one representative configuration: when each
     // rank saw its first block, when it delivered, and how many blocks
     // it moved — the flight recorder's answer to "who was the straggler".
-    let (_, events, _) = run_traced_multicast(&spec, 8, Algorithm::BinomialPipeline, 8 * MB, MB);
+    let events = traced_multicast(ClusterBuilder::new(spec), 8, 8 * MB)
+        .recorder()
+        .events();
     let rows: Vec<Vec<String>> = trace::stall::timelines(&events, 0)
         .iter()
         .map(|t| {
@@ -1858,8 +1859,10 @@ pub struct TraceOverhead {
 /// time the disabled-recorder fast path per call.
 pub fn trace_overhead_probe(quick: bool) -> TraceOverhead {
     let spec = ClusterSpec::fractus(16);
-    let (_, events, _) = run_traced_multicast(&spec, 16, Algorithm::BinomialPipeline, 8 * MB, MB);
-    let events = events.len() as u64;
+    let events = traced_multicast(ClusterBuilder::new(spec.clone()), 16, 8 * MB)
+        .recorder()
+        .events()
+        .len() as u64;
 
     let t = std::time::Instant::now();
     let _ = run_single_multicast(&spec, 16, Algorithm::BinomialPipeline, 8 * MB, MB);
@@ -1886,8 +1889,8 @@ pub fn trace_overhead_probe(quick: bool) -> TraceOverhead {
 /// Writes the Chrome `trace_event` export of one traced multicast to
 /// `path` (open it in `chrome://tracing` or Perfetto).
 pub fn write_sample_chrome_trace(path: &str) -> std::io::Result<()> {
-    let spec = ClusterSpec::fractus(8);
-    let (_, events, _) = run_traced_multicast(&spec, 8, Algorithm::BinomialPipeline, 8 * MB, MB);
+    let builder = ClusterBuilder::new(ClusterSpec::fractus(8));
+    let events = traced_multicast(builder, 8, 8 * MB).recorder().events();
     std::fs::write(path, trace::export::to_chrome_trace(&events))
 }
 

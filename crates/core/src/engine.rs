@@ -765,6 +765,11 @@ impl GroupEngine {
             }
             Event::BlockReceived { from, total_size } => {
                 if self.wedged {
+                    self.recorder
+                        .record(self.scope, || trace::EventKind::InputIgnored {
+                            peer: from,
+                            failure: false,
+                        });
                     return Ok(());
                 }
                 let first = self.active.is_none();
@@ -842,6 +847,12 @@ impl GroupEngine {
                     self.recorder
                         .record(self.scope, || trace::EventKind::Wedged { failed: rank });
                     actions.push(Action::RelayFailure { failed: rank });
+                } else {
+                    self.recorder
+                        .record(self.scope, || trace::EventKind::InputIgnored {
+                            peer: rank,
+                            failure: true,
+                        });
                 }
             }
         }
@@ -1140,6 +1151,39 @@ mod tests {
             })
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn ignored_inputs_are_recorded() {
+        use trace::EventKind::InputIgnored;
+        let (mut e, _) = engine(1, 4);
+        let recorder = trace::Recorder::full();
+        e.set_recorder(recorder.clone(), trace::Scope::group_rank(0, 1));
+        let ignored = || -> Vec<trace::EventKind> {
+            let kinds = recorder.events().into_iter().map(|ev| ev.kind);
+            kinds.filter(|k| matches!(k, InputIgnored { .. })).collect()
+        };
+        e.handle(Event::PeerFailed { rank: 2 }).unwrap();
+        assert!(ignored().is_empty(), "a first notice is applied");
+        e.handle(Event::BlockReceived {
+            from: 0,
+            total_size: 10,
+        })
+        .unwrap();
+        e.handle(Event::PeerFailed { rank: 2 }).unwrap();
+        assert_eq!(
+            ignored(),
+            [
+                InputIgnored {
+                    peer: 0,
+                    failure: false
+                },
+                InputIgnored {
+                    peer: 2,
+                    failure: true
+                }
+            ]
+        );
     }
 
     #[test]

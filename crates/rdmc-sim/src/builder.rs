@@ -9,8 +9,8 @@
 //! [`SimCluster`](crate::SimCluster); started from any other [`Transport`] (e.g.
 //! `rdmc-tcp`'s nonblocking event-loop backend via
 //! [`ClusterBuilder::from_transport`]) the same protocol-level knobs —
-//! recovery, pacing, reliability, tracing, atomic groups — apply
-//! unchanged, while the simulation-only knobs (completion modes,
+//! recovery, pacing, reliability, the flight recorder, atomic groups —
+//! apply unchanged, while the simulation-only knobs (completion modes,
 //! jitter, fault injection) are only offered when the transport is the
 //! simulated fabric.
 
@@ -51,7 +51,6 @@ pub struct ClusterBuilder<T: Transport = Fabric> {
     scheduler: Option<SharedScheduler>,
     reliability: Option<ReliabilityPolicy>,
     atomic_groups: Vec<GroupSpec>,
-    engine_log: bool,
 }
 
 impl ClusterBuilder<Fabric> {
@@ -109,7 +108,6 @@ impl<T: Transport> ClusterBuilder<T> {
             scheduler: None,
             reliability: None,
             atomic_groups: Vec::new(),
-            engine_log: false,
         }
     }
 
@@ -134,26 +132,12 @@ impl<T: Transport> ClusterBuilder<T> {
         self
     }
 
-    /// Enables protocol-event tracing: shorthand for a full-capture
-    /// [`ClusterBuilder::flight_recorder`].
-    pub fn tracing(self) -> Self {
-        self.flight_recorder(trace::Mode::Full)
-    }
-
     /// Attaches a flight recorder in the given capture mode; every layer
     /// (transport, verbs, engines, membership orchestration) streams
     /// structured events into it. Retrieve the handle from the built
     /// cluster via [`Cluster::recorder`].
     pub fn flight_recorder(mut self, mode: trace::Mode) -> Self {
         self.recorder_mode = Some(mode);
-        self
-    }
-
-    /// Captures every engine event fed on the cluster (see
-    /// [`Cluster::engine_log`]) — the raw material of the
-    /// `transport_equivalence` gate.
-    pub fn engine_log(mut self) -> Self {
-        self.engine_log = true;
         self
     }
 
@@ -192,9 +176,6 @@ impl<T: Transport> ClusterBuilder<T> {
     /// Builds the configured cluster.
     pub fn build(mut self) -> Cluster<T> {
         let mut cluster = Cluster::from_transport(self.transport);
-        if self.engine_log {
-            cluster.enable_engine_log();
-        }
         if let Some(policy) = self.reliability {
             cluster.set_default_reliability(policy);
         }

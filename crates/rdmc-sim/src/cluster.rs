@@ -132,55 +132,6 @@ impl MessageResult {
     }
 }
 
-/// A timestamped protocol-level event, recorded when tracing is enabled
-/// (used to regenerate the paper's Table 1 and Fig. 5).
-#[derive(Clone, Debug)]
-pub struct TraceRecord {
-    /// When it happened.
-    pub time: SimTime,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// The protocol moments the tracer distinguishes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// We told `to` we are ready for its next block.
-    ReadySent {
-        /// The notified peer rank.
-        to: Rank,
-    },
-    /// `from` told us it is ready for our next block.
-    ReadyHeard {
-        /// The ready peer rank.
-        from: Rank,
-    },
-    /// We posted a block send.
-    SendPosted {
-        /// Target rank.
-        to: Rank,
-        /// Block number.
-        block: u32,
-    },
-    /// A posted block send completed.
-    SendFinished {
-        /// Target rank.
-        to: Rank,
-    },
-    /// A block landed (block number from the schedule; `None` means it was
-    /// the size-announcing first block of a message).
-    BlockArrived {
-        /// Sending peer rank.
-        from: Rank,
-        /// Derived block number, if the transfer was already active.
-        block: Option<u32>,
-    },
-    /// The application was asked for a receive buffer.
-    BufferAllocated,
-    /// The message completed locally.
-    Delivered,
-}
-
 /// Configuration of the epoch-based recovery orchestration
 /// ([`crate::ClusterBuilder::recovery`]).
 #[derive(Clone, Debug)]
@@ -434,24 +385,6 @@ pub struct Cluster<T: Transport = Fabric> {
     /// [`SimCluster::create_atomic_group`]); each owns one RDMC
     /// subgroup per sender.
     atomics: Vec<AtomicRuntime>,
-    /// When capturing ([`Cluster::enable_engine_log`]), every engine
-    /// event in feed order — the raw material of the
-    /// `transport_equivalence` gate.
-    engine_log: Option<Vec<EngineLogEntry>>,
-}
-
-/// One captured engine event (see [`Cluster::enable_engine_log`]): the
-/// exact [`Event`] fed to `group`'s engine at `rank`, in feed order.
-/// Deliberately time-free, so logs from different transports compare
-/// bit-for-bit.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EngineLogEntry {
-    /// The group whose engine received the event.
-    pub group: GroupId,
-    /// The member rank the event was fed to.
-    pub rank: Rank,
-    /// The protocol event itself.
-    pub event: Event,
 }
 
 /// A cluster over the simulated verbs fabric — the classic simulation
@@ -527,24 +460,7 @@ impl<T: Transport> Cluster<T> {
             rel_recv: BTreeMap::new(),
             rel_stats: ReliabilityStats::default(),
             atomics: Vec::new(),
-            engine_log: None,
         }
-    }
-
-    /// Starts capturing every engine event ([`EngineLogEntry`]) fed
-    /// from now on. The log is the transport-equivalence evidence: two
-    /// backends carrying the same workload must produce identical
-    /// per-channel event sequences. Call before any traffic.
-    pub fn enable_engine_log(&mut self) {
-        if self.engine_log.is_none() {
-            self.engine_log = Some(Vec::new());
-        }
-    }
-
-    /// The captured engine events, in feed order (empty unless
-    /// [`Cluster::enable_engine_log`] ran first).
-    pub fn engine_log(&self) -> &[EngineLogEntry] {
-        self.engine_log.as_deref().unwrap_or(&[])
     }
 
     /// Attaches a controlled scheduler ([`crate::ClusterBuilder::scheduler`]
@@ -675,15 +591,9 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// The attached flight recorder (disabled unless
-    /// [`crate::ClusterBuilder::flight_recorder`] or
-    /// [`crate::ClusterBuilder::tracing`] configured one).
+    /// [`crate::ClusterBuilder::flight_recorder`] configured one).
     pub fn recorder(&self) -> &trace::Recorder {
         &self.recorder
-    }
-
-    /// Snapshot of every recorded event so far, in order.
-    pub fn trace_events(&self) -> Vec<trace::TraceEvent> {
-        self.recorder.events()
     }
 
     /// One node's CPU usage report.
@@ -946,43 +856,6 @@ impl<T: Transport> Cluster<T> {
             .iter()
             .flat_map(|g| g.results.iter().cloned())
             .collect()
-    }
-
-    /// The trace of one member (empty unless [`ClusterBuilder::tracing`](crate::ClusterBuilder::tracing)
-    /// or the flight recorder was enabled before the transfer), projected
-    /// from the recorder's event stream into the coarse [`TraceKind`]
-    /// vocabulary the Table 1 / Fig. 5 reports consume.
-    pub fn trace(&self, group: GroupId, rank: Rank) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        for ev in self.recorder.events() {
-            if ev.scope.group != Some(group as u32) || ev.scope.rank != Some(rank) {
-                continue;
-            }
-            let kind = match ev.kind {
-                trace::EventKind::ReadyGranted { to } => TraceKind::ReadySent { to },
-                trace::EventKind::ReadyHeard { from } => TraceKind::ReadyHeard { from },
-                trace::EventKind::BlockSendIssued { to, block, .. } => {
-                    TraceKind::SendPosted { to, block }
-                }
-                trace::EventKind::BlockSendCompleted { to } => TraceKind::SendFinished { to },
-                trace::EventKind::BlockArrived {
-                    from, block, first, ..
-                } => TraceKind::BlockArrived {
-                    from,
-                    // The size-announcing first block of a message keeps
-                    // its classic `None` encoding.
-                    block: (!first).then_some(block),
-                },
-                trace::EventKind::BufferRequested { .. } => TraceKind::BufferAllocated,
-                trace::EventKind::Delivered { .. } => TraceKind::Delivered,
-                _ => continue,
-            };
-            out.push(TraceRecord {
-                time: SimTime::from_nanos(ev.t_ns),
-                kind,
-            });
-        }
-        out
     }
 
     /// True if every engine is idle and unwedged — the condition under
@@ -1308,13 +1181,6 @@ impl<T: Transport> Cluster<T> {
         let node = self.groups[group].spec.members[rank as usize];
         if self.fabric.is_crashed(NodeId(node as u32)) {
             return; // dead software runs no handlers
-        }
-        if let Some(log) = self.engine_log.as_mut() {
-            log.push(EngineLogEntry {
-                group,
-                rank,
-                event: event.clone(),
-            });
         }
         let mut actions = self.action_pool.pop().unwrap_or_default();
         self.groups[group].engines[rank as usize]

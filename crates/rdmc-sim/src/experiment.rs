@@ -4,7 +4,9 @@
 use rdmc::Algorithm;
 use simnet::{SimDuration, SimTime};
 
-use crate::{ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, PacingStats, TopoSpec};
+use crate::{
+    ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, PacingStats, SimCluster, TopoSpec,
+};
 
 /// Outcome of a single multicast run.
 #[derive(Clone, Debug)]
@@ -33,6 +35,30 @@ pub fn run_single_multicast(
     size: u64,
     block_size: u64,
 ) -> MulticastOutcome {
+    let cluster = multicast(spec, group_size, algorithm, size, block_size, 1);
+    let result = &cluster.message_results()[0];
+    let latency = result
+        .latency()
+        .expect("multicast did not complete at every member");
+    MulticastOutcome {
+        size,
+        group_size,
+        latency,
+        bandwidth_gbps: result.bandwidth_gbps().expect("nonzero latency"),
+    }
+}
+
+/// Multicasts `count` messages of `size` bytes back to back to a fresh
+/// group of `group_size` nodes on `spec`'s cluster and runs it to
+/// quiescence.
+fn multicast(
+    spec: &ClusterSpec,
+    group_size: usize,
+    algorithm: Algorithm,
+    size: u64,
+    block_size: u64,
+    count: usize,
+) -> SimCluster {
     assert!(
         group_size <= spec.topology.nodes(),
         "group larger than cluster"
@@ -45,18 +71,11 @@ pub fn run_single_multicast(
         ready_window: 3,
         max_outstanding_sends: 3,
     });
-    cluster.submit_send(group, size);
-    cluster.run();
-    let result = &cluster.message_results()[0];
-    let latency = result
-        .latency()
-        .expect("multicast did not complete at every member");
-    MulticastOutcome {
-        size,
-        group_size,
-        latency,
-        bandwidth_gbps: result.bandwidth_gbps().expect("nonzero latency"),
+    for _ in 0..count {
+        cluster.submit_send(group, size);
     }
+    cluster.run();
+    cluster
 }
 
 /// The [`trace::stall::WireModel`] matching a cluster's calibration:
@@ -90,55 +109,6 @@ pub fn wire_model_for(spec: &ClusterSpec) -> trace::stall::WireModel {
     }
 }
 
-/// Like [`run_single_multicast`], but with a full-capture flight
-/// recorder attached for the whole run. Returns the outcome, the
-/// recorded event stream, and the cluster's wire model so callers can
-/// feed [`trace::stall::attribute`] directly.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_single_multicast`].
-pub fn run_traced_multicast(
-    spec: &ClusterSpec,
-    group_size: usize,
-    algorithm: Algorithm,
-    size: u64,
-    block_size: u64,
-) -> (
-    MulticastOutcome,
-    Vec<trace::TraceEvent>,
-    trace::stall::WireModel,
-) {
-    assert!(
-        group_size <= spec.topology.nodes(),
-        "group larger than cluster"
-    );
-    let mut cluster = ClusterBuilder::new(spec.clone())
-        .flight_recorder(trace::Mode::Full)
-        .build();
-    let recorder = cluster.recorder().clone();
-    let group = cluster.create_group(GroupSpec {
-        members: (0..group_size).collect(),
-        algorithm,
-        block_size,
-        ready_window: 3,
-        max_outstanding_sends: 3,
-    });
-    cluster.submit_send(group, size);
-    cluster.run();
-    let result = &cluster.message_results()[0];
-    let latency = result
-        .latency()
-        .expect("multicast did not complete at every member");
-    let outcome = MulticastOutcome {
-        size,
-        group_size,
-        latency,
-        bandwidth_gbps: result.bandwidth_gbps().expect("nonzero latency"),
-    };
-    (outcome, recorder.events(), wire_model_for(spec))
-}
-
 /// Runs a back-to-back stream of `count` equal-size messages on one group
 /// and returns the aggregate bandwidth in Gb/s (total bytes over total
 /// time), plus per-message latencies.
@@ -150,18 +120,7 @@ pub fn run_stream(
     block_size: u64,
     count: usize,
 ) -> (f64, Vec<SimDuration>) {
-    let mut cluster = ClusterBuilder::new(spec.clone()).build();
-    let group = cluster.create_group(GroupSpec {
-        members: (0..group_size).collect(),
-        algorithm,
-        block_size,
-        ready_window: 3,
-        max_outstanding_sends: 3,
-    });
-    for _ in 0..count {
-        cluster.submit_send(group, size);
-    }
-    cluster.run();
+    let cluster = multicast(spec, group_size, algorithm, size, block_size, count);
     let results = cluster.message_results();
     let latencies: Vec<SimDuration> = results
         .iter()

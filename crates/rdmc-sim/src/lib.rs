@@ -22,6 +22,12 @@
 //!   overlay — one RDMC subgroup per sender (rotated member lists),
 //!   SST stability frontiers, and total-order delivery logs identical
 //!   at every member (see [`SimCluster::atomic_log`]).
+//! - [`ClusterBuilder::flight_recorder`]: the one event stream. Every
+//!   layer (fabric, flow network, engines, membership, atomic overlay)
+//!   writes into it, each engine records every input it is fed, and an
+//!   attached recorder leaves the run's kernel path unchanged. Reports
+//!   and tests read it through [`SimCluster::recorder`], filtering by
+//!   [`trace::Scope`].
 //! - [`run_single_multicast`] and friends: the one-line harnesses the
 //!   benchmark suite sweeps.
 //!
@@ -63,13 +69,12 @@ mod reliability;
 pub use atomic::{AtomicDelivery, AtomicGroupId};
 pub use builder::ClusterBuilder;
 pub use cluster::{
-    Cluster, DetectionRecord, EngineLogEntry, GroupId, GroupSpec, MessageId, MessageResult,
-    Mutation, ReconfigRecord, RecoveryConfig, RecoveryStats, SimCluster, TraceKind, TraceRecord,
+    Cluster, DetectionRecord, GroupId, GroupSpec, MessageId, MessageResult, Mutation,
+    ReconfigRecord, RecoveryConfig, RecoveryStats, SimCluster,
 };
 pub use experiment::{
-    run_concurrent_overlapping, run_open_loop, run_single_multicast, run_stream,
-    run_traced_multicast, wire_model_for, GroupLoadReport, MulticastOutcome, OpenLoopArrival,
-    OpenLoopOutcome,
+    run_concurrent_overlapping, run_open_loop, run_single_multicast, run_stream, wire_model_for,
+    GroupLoadReport, MulticastOutcome, OpenLoopArrival, OpenLoopOutcome,
 };
 pub use offload::run_offloaded_chain;
 pub use pacer::{PacerConfig, PacingPolicy, PacingStats};

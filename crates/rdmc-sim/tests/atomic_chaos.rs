@@ -71,7 +71,7 @@ fn assert_atomic_recovered(cluster: &SimCluster, n: usize, victim: usize) {
     assert!(cluster.live_quiescent(), "survivors failed to quiesce");
     assert_eq!(cluster.fabric().stats().rnr_arms, 0, "an RNR timer armed");
     let oracle = trace::check::check_events(
-        &cluster.trace_events(),
+        &cluster.recorder().events(),
         &trace::check::CheckConfig::default(),
     );
     if let Err(violations) = &oracle {

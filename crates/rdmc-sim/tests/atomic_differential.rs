@@ -106,7 +106,7 @@ fn assert_matches_model(
         assert_eq!(log, expected, "{ctx}: member {m} diverged from the model");
     }
     let oracle = trace::check::check_events(
-        &cluster.trace_events(),
+        &cluster.recorder().events(),
         &trace::check::CheckConfig::default(),
     );
     if let Err(violations) = &oracle {

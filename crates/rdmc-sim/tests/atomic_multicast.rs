@@ -21,7 +21,7 @@ fn atomic_spec(n: usize) -> GroupSpec {
 
 fn build(n: usize) -> SimCluster {
     ClusterBuilder::new(ClusterSpec::fractus(n))
-        .tracing()
+        .flight_recorder(trace::Mode::Full)
         .atomic(atomic_spec(n))
         .build()
 }
@@ -122,7 +122,7 @@ fn trace_oracle_validates_the_atomic_run() {
     cluster.submit_atomic_from(0, 3, 64 * KB);
     cluster.run();
     let stats = trace::check::check_events(
-        &cluster.trace_events(),
+        &cluster.recorder().events(),
         &trace::check::CheckConfig::default(),
     )
     .unwrap_or_else(|v| panic!("oracle violations: {v:#?}"));

@@ -97,7 +97,7 @@ proptest! {
         cluster.run();
         prop_assert!(cluster.all_quiescent(), "cluster failed to quiesce");
         let oracle = trace::check::check_events(
-            &cluster.trace_events(),
+            &cluster.recorder().events(),
             &trace::check::CheckConfig::default(),
         );
         prop_assert!(oracle.is_ok(), "trace oracle: {:#?}", oracle.unwrap_err());
@@ -191,7 +191,7 @@ fn assert_recovered(cluster: &SimCluster, n: usize, victim: usize) {
     // all hold even on crash/recovery runs. Budgets stay off — resume
     // epochs run recovery-planner schedules with their own port shapes.
     let oracle = trace::check::check_events(
-        &cluster.trace_events(),
+        &cluster.recorder().events(),
         &trace::check::CheckConfig::default(),
     );
     if let Err(violations) = &oracle {

@@ -113,7 +113,7 @@ fn assert_converged(cluster: &SimCluster, ctx: &str) {
         "{ctx}: an RNR timer armed"
     );
     let oracle = trace::check::check_events(
-        &cluster.trace_events(),
+        &cluster.recorder().events(),
         &trace::check::CheckConfig::default(),
     );
     if let Err(violations) = &oracle {

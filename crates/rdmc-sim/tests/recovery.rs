@@ -33,7 +33,7 @@ fn assert_survivors_complete(cluster: &SimCluster, group: rdmc_sim::GroupId) {
     // reconfiguration, block-wise resume — must satisfy the trace
     // oracle's causality and pairing invariants.
     if let Err(violations) = trace::check::check_events(
-        &cluster.trace_events(),
+        &cluster.recorder().events(),
         &trace::check::CheckConfig::default(),
     ) {
         panic!("trace oracle found violations: {violations:#?}");

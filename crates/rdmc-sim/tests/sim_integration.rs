@@ -3,7 +3,7 @@
 use rdmc::Algorithm;
 use rdmc_sim::{
     run_concurrent_overlapping, run_single_multicast, run_stream, ClusterBuilder, ClusterSpec,
-    GroupSpec, TraceKind,
+    GroupSpec,
 };
 use simnet::{JitterModel, SimDuration, SimTime};
 
@@ -347,8 +347,11 @@ fn slow_nic_costs_less_than_chain_would_suffer() {
 
 #[test]
 fn tracing_captures_the_protocol_conversation() {
+    use trace::EventKind;
     let spec = ClusterSpec::stampede(4);
-    let mut cluster = ClusterBuilder::new(spec.clone()).tracing().build();
+    let mut cluster = ClusterBuilder::new(spec.clone())
+        .flight_recorder(trace::Mode::Full)
+        .build();
     let group = cluster.create_group(GroupSpec {
         members: (0..4).collect(),
         algorithm: Algorithm::BinomialPipeline,
@@ -358,25 +361,24 @@ fn tracing_captures_the_protocol_conversation() {
     });
     cluster.submit_send(group, 8 * MB);
     cluster.run();
+    let events = cluster.recorder().events();
+    let member = |rank: u32| {
+        let at =
+            move |e: &&trace::TraceEvent| e.scope.group == Some(0) && e.scope.rank == Some(rank);
+        events.iter().filter(at).map(|e| &e.kind)
+    };
     // Every receiver allocated a buffer, received blocks, delivered.
     for rank in 1..4 {
-        let trace = cluster.trace(group, rank);
-        assert!(trace.iter().any(|r| r.kind == TraceKind::BufferAllocated));
-        assert!(trace.iter().any(|r| r.kind == TraceKind::Delivered));
-        let arrivals = trace
-            .iter()
-            .filter(|r| matches!(r.kind, TraceKind::BlockArrived { .. }))
+        assert!(member(rank).any(|k| matches!(k, EventKind::BufferRequested { .. })));
+        assert!(member(rank).any(|k| matches!(k, EventKind::Delivered { .. })));
+        let arrivals = member(rank)
+            .filter(|k| matches!(k, EventKind::BlockArrived { .. }))
             .count();
         assert_eq!(arrivals, 8, "rank {rank} should receive 8 blocks");
     }
     // The root posted sends and heard readiness.
-    let root = cluster.trace(group, 0);
-    assert!(root
-        .iter()
-        .any(|r| matches!(r.kind, TraceKind::SendPosted { .. })));
-    assert!(root
-        .iter()
-        .any(|r| matches!(r.kind, TraceKind::ReadyHeard { .. })));
+    assert!(member(0).any(|k| matches!(k, EventKind::BlockSendIssued { .. })));
+    assert!(member(0).any(|k| matches!(k, EventKind::ReadyHeard { .. })));
 }
 
 #[test]
@@ -559,7 +561,6 @@ fn traces_are_empty_unless_enabled() {
     });
     cluster.submit_send(group, MB);
     cluster.run();
-    for rank in 0..3 {
-        assert!(cluster.trace(group, rank).is_empty());
-    }
+    assert!(!cluster.recorder().is_enabled());
+    assert!(cluster.recorder().events().is_empty());
 }

@@ -26,7 +26,7 @@ fn traced_run(n: usize, k: u64, algorithm: Algorithm) -> Vec<trace::TraceEvent> 
     });
     cluster.submit_send(group, k * BLOCK);
     cluster.run();
-    cluster.trace_events()
+    cluster.recorder().events()
 }
 
 /// The oracle configuration the analyzer's static model implies for

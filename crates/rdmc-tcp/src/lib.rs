@@ -12,8 +12,9 @@
 //! admission, epoch recovery, per-group reliability policies, the
 //! flight recorder, the §4.6 close barrier — runs identically over the
 //! simulated verbs fabric and over this backend, and the standing
-//! `transport_equivalence` gate holds the two to bit-identical engine
-//! event logs and delivery digests.
+//! `transport_equivalence` gate holds the two to bit-identical
+//! per-channel projections of their flight recordings (one event per
+//! engine input) and delivery digests.
 //!
 //! TCP provides what RDMC needs from RDMA's reliable connections:
 //! in-order exactly-once delivery per connection and failure reporting

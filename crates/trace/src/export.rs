@@ -215,6 +215,10 @@ fn fields(kind: &EventKind) -> (&'static str, Vec<(&'static str, Val)>) {
         ),
         Delivered { size } => ("delivered", vec![("size", U(*size))]),
         Wedged { failed } => ("wedged", vec![("failed", U(u64::from(*failed)))]),
+        InputIgnored { peer, failure } => (
+            "input_ignored",
+            vec![("peer", U(u64::from(*peer))), ("failure", B(*failure))],
+        ),
         EpochInstalled {
             epoch,
             rank,

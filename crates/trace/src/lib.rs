@@ -255,6 +255,10 @@ pub enum EventKind {
     Delivered { size: u64 },
     /// A failure notice wedged this member.
     Wedged { failed: u32 },
+    /// An input from or about `peer` changed nothing: a block from
+    /// `peer` reached a wedged member (`failure` = false), or a failure
+    /// notice for `peer` repeated one already applied (`failure` = true).
+    InputIgnored { peer: u32, failure: bool },
     /// A new configuration epoch was installed on this member
     /// (`rank` is its new rank; `resume_blocks_out` counts the block
     /// transfers this member must send across all resume schedules).

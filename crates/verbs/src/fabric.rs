@@ -148,7 +148,7 @@ enum CompletedWr {
 }
 
 /// Internal event/work counters, for performance debugging.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
     /// Events popped from the queue.
     pub events: u64,
@@ -694,9 +694,7 @@ impl Fabric {
                 // the instant it started, and no virtual time passes while
                 // the changes are pending, so the batched fill is
                 // bit-identical to k sequential same-instant fills.
-                // Skipped when a flight recorder is attached: traces pin
-                // every intermediate rate-change event.
-                if self.recorder.is_enabled() || self.queue.peek_time() != Some(self.queue.now()) {
+                if self.queue.peek_time() != Some(self.queue.now()) {
                     self.net_stale = false;
                     self.resync_net();
                 }
@@ -807,10 +805,9 @@ impl Fabric {
         }
         loop {
             if self.net_stale {
-                // Re-aim eagerly (as with a recorder attached): deferred
-                // re-aims would make the due set visible to the scheduler
-                // depend on coalescing internals rather than on protocol
-                // state.
+                // Re-aim eagerly: deferred re-aims would make the due set
+                // visible to the scheduler depend on coalescing internals
+                // rather than on protocol state.
                 self.net_stale = false;
                 self.resync_net();
             }

@@ -1,16 +1,20 @@
 //! The standing transport-equivalence gate: the same protocol
 //! orchestration runs over the simulated verbs fabric and over real TCP
 //! sockets, and the two must agree **bit-for-bit** on *what* happened —
-//! the engine event logs and the delivery digests — leaving only *when*
-//! to the fabric.
+//! every input fed to every engine, as the flight recorder saw it, and
+//! the delivery digests — leaving only *when* to the fabric.
 //!
-//! Raw engine logs interleave differently across transports (wall-clock
-//! completion timing is not virtual-time completion timing), but RDMC's
-//! §4.2 design makes each *channel* deterministic: per (group, rank,
-//! event class, peer) the sequence of events is fixed by the block
-//! schedule and the per-connection FIFO guarantee. Canonicalizing the
-//! log per channel therefore yields a transport-independent fingerprint
-//! that any lost, duplicated, reordered, or misrouted event breaks.
+//! The engine records one event per input it is fed (`MessageSubmitted`,
+//! `BlockArrived`, `ReadyHeard`, `BlockSendCompleted`, `Wedged`, and
+//! `InputIgnored` for inputs that change nothing). Raw recordings
+//! interleave differently across transports (wall-clock completion
+//! timing is not virtual-time completion timing), but RDMC's §4.2 design
+//! makes each *channel* deterministic: per (group, rank, input class,
+//! peer) the sequence of inputs is fixed by the block schedule and the
+//! per-connection FIFO guarantee. Projecting the recording per channel,
+//! without timestamps or fields that encode cross-channel order,
+//! therefore yields a transport-independent fingerprint that any lost,
+//! duplicated, reordered, or misrouted input breaks.
 //!
 //! On mismatch each test writes both canonical logs under
 //! `target/transport_equivalence/` so CI can upload them as artifacts.
@@ -18,11 +22,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use rdmc::engine::Event;
-use rdmc::{Algorithm, Rank};
+use rdmc::Algorithm;
 use rdmc_sim::{
-    Cluster, ClusterBuilder, ClusterSpec, EngineLogEntry, GroupId, GroupSpec, PacerConfig,
-    PacingPolicy, RecoveryConfig,
+    Cluster, ClusterBuilder, ClusterSpec, GroupSpec, PacerConfig, PacingPolicy, RecoveryConfig,
 };
 use simnet::SimDuration;
 use verbs::Transport;
@@ -47,24 +49,46 @@ fn spec(n: usize, algorithm: Algorithm) -> GroupSpec {
     }
 }
 
-/// Collapses an engine log into its per-channel canonical form: one
-/// line per (group, rank, class, peer) channel listing that channel's
-/// events in log order. Within a channel the order is fixed by the
-/// protocol, so equal canonical logs mean equal protocol executions.
-fn canonicalize(log: &[EngineLogEntry]) -> String {
-    let mut channels: BTreeMap<(GroupId, Rank, &'static str, i64), Vec<String>> = BTreeMap::new();
-    for entry in log {
-        let (class, peer, detail) = match entry.event {
-            Event::StartSend { size } => ("start", -1, format!("{size}")),
-            Event::BlockReceived { from, total_size } => {
-                ("block", i64::from(from), format!("{total_size}"))
-            }
-            Event::ReadyReceived { from } => ("ready", i64::from(from), String::new()),
-            Event::SendCompleted { to } => ("sendc", i64::from(to), String::new()),
-            Event::PeerFailed { rank } => ("fail", i64::from(rank), String::new()),
+/// Projects a flight recording onto its per-channel canonical form:
+/// one line per (group, rank, class, peer) channel listing, in
+/// recording order, one entry per input that channel's engine was fed.
+/// Within a channel the order is fixed by the protocol, so equal
+/// canonical logs mean equal protocol executions. `BlockArrived.first`
+/// is left out: whether a block announced its message depends on which
+/// sender's block landed first, which is timing. (So would an ignored
+/// block's place among its channel's arrivals, but these workloads fail
+/// members only at quiescence, so no block meets a wedged engine.)
+fn canonicalize(events: &[trace::TraceEvent]) -> String {
+    use trace::EventKind as K;
+    let mut channels: BTreeMap<(u32, u32, &'static str, i64), Vec<String>> = BTreeMap::new();
+    for ev in events {
+        let (class, peer, detail) = match ev.kind {
+            K::MessageSubmitted { size } => ("start", -1, format!("{size}")),
+            K::BlockArrived {
+                from,
+                block,
+                step,
+                epoch,
+                ..
+            } => ("block", i64::from(from), format!("b{block}s{step}e{epoch}")),
+            K::InputIgnored {
+                peer,
+                failure: false,
+            } => ("block", i64::from(peer), "ignored".to_owned()),
+            K::ReadyHeard { from } => ("ready", i64::from(from), String::new()),
+            K::BlockSendCompleted { to } => ("sendc", i64::from(to), String::new()),
+            K::Wedged { failed } => ("fail", i64::from(failed), String::new()),
+            K::InputIgnored {
+                peer,
+                failure: true,
+            } => ("fail", i64::from(peer), String::new()),
+            _ => continue,
+        };
+        let (Some(group), Some(rank)) = (ev.scope.group, ev.scope.rank) else {
+            continue;
         };
         channels
-            .entry((entry.group, entry.rank, class, peer))
+            .entry((group, rank, class, peer))
             .or_default()
             .push(detail);
     }
@@ -121,8 +145,8 @@ fn assert_equivalent(name: &str, sim: &(String, String), tcp: &(String, String))
     );
 }
 
-/// One mixed-size multicast workload, returning the canonical engine
-/// log and the delivery digest.
+/// One mixed-size multicast workload, returning the canonical
+/// recording and the delivery digest.
 fn plain_workload<T: Transport>(mut cluster: Cluster<T>, algorithm: Algorithm) -> (String, String) {
     let group = cluster.create_group(spec(5, algorithm));
     for size in [4 * BLOCK, 1, 6 * BLOCK + 17] {
@@ -131,26 +155,26 @@ fn plain_workload<T: Transport>(mut cluster: Cluster<T>, algorithm: Algorithm) -
     cluster.run();
     assert!(cluster.all_quiescent(), "workload failed to quiesce");
     (
-        canonicalize(cluster.engine_log()),
+        canonicalize(&cluster.recorder().events()),
         delivery_digest(&cluster),
     )
 }
 
-/// All four algorithms: identical engine event logs and delivery
+/// All four algorithms: identical canonical recordings and delivery
 /// digests over simulated verbs and over real TCP.
 #[test]
 fn all_algorithms_equivalent_across_transports() {
     for algorithm in ALGORITHMS {
         let sim = plain_workload(
             ClusterBuilder::new(ClusterSpec::fractus(5))
-                .engine_log()
+                .flight_recorder(trace::Mode::Full)
                 .build(),
             algorithm.clone(),
         );
         let tcp = plain_workload(
             rdmc_tcp::builder(5)
                 .expect("tcp launch")
-                .engine_log()
+                .flight_recorder(trace::Mode::Full)
                 .build(),
             algorithm.clone(),
         );
@@ -168,7 +192,7 @@ fn paced_workload<T: Transport>(mut cluster: Cluster<T>) -> (String, String) {
     cluster.run();
     assert!(cluster.all_quiescent(), "paced workload failed to quiesce");
     (
-        canonicalize(cluster.engine_log()),
+        canonicalize(&cluster.recorder().events()),
         delivery_digest(&cluster),
     )
 }
@@ -178,14 +202,14 @@ fn paced_workload_equivalent_across_transports() {
     let pacing = PacerConfig::new(1, PacingPolicy::Fifo);
     let sim = paced_workload(
         ClusterBuilder::new(ClusterSpec::fractus(4))
-            .engine_log()
+            .flight_recorder(trace::Mode::Full)
             .pacing(pacing)
             .build(),
     );
     let tcp = paced_workload(
         rdmc_tcp::builder(4)
             .expect("tcp launch")
-            .engine_log()
+            .flight_recorder(trace::Mode::Full)
             .pacing(pacing)
             .build(),
     );
@@ -213,7 +237,7 @@ fn recovery_workload<T: Transport>(mut cluster: Cluster<T>) -> (String, String) 
         "recovery installed the wrong view"
     );
     (
-        canonicalize(cluster.engine_log()),
+        canonicalize(&cluster.recorder().events()),
         delivery_digest(&cluster),
     )
 }
@@ -229,14 +253,14 @@ fn crash_recovery_equivalent_across_transports() {
     };
     let sim = recovery_workload(
         ClusterBuilder::new(ClusterSpec::fractus(5))
-            .engine_log()
+            .flight_recorder(trace::Mode::Full)
             .recovery(recovery.clone())
             .build(),
     );
     let tcp = recovery_workload(
         rdmc_tcp::builder(5)
             .expect("tcp launch")
-            .engine_log()
+            .flight_recorder(trace::Mode::Full)
             .recovery(recovery)
             .build(),
     );
